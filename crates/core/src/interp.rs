@@ -107,6 +107,21 @@ impl Interpretation {
         })
     }
 
+    /// In-place union with `other`. Fails, leaving `self` unchanged, if
+    /// some literal of `other` has its complement in `self`.
+    pub fn union_with(&mut self, other: &Interpretation) -> Result<(), Inconsistency> {
+        if self.pos.intersects(&other.neg) || self.neg.intersects(&other.pos) {
+            let clash = other
+                .literals()
+                .find(|&l| self.holds(l.complement()))
+                .expect("intersecting sets share a literal");
+            return Err(Inconsistency(clash));
+        }
+        self.pos.union_with(&other.pos);
+        self.neg.union_with(&other.neg);
+        Ok(())
+    }
+
     /// Removes literal `l`; returns whether it was present.
     pub fn remove(&mut self, l: GLit) -> bool {
         match l.sign() {
@@ -252,6 +267,30 @@ mod tests {
         assert_eq!(lits, vec![GLit::pos(AtomId(0)), GLit::neg(AtomId(2))]);
         let undef: Vec<AtomId> = i.undefined_atoms(4).collect();
         assert_eq!(undef, vec![AtomId(1), AtomId(3)]);
+    }
+
+    #[test]
+    fn union_with_joins_or_refuses() {
+        let mut a = Interpretation::from_literals([GLit::pos(AtomId(0))]).unwrap();
+        let b =
+            Interpretation::from_literals([GLit::neg(AtomId(1)), GLit::pos(AtomId(70))]).unwrap();
+        a.union_with(&b).unwrap();
+        assert_eq!(
+            a,
+            Interpretation::from_literals([
+                GLit::pos(AtomId(0)),
+                GLit::neg(AtomId(1)),
+                GLit::pos(AtomId(70))
+            ])
+            .unwrap()
+        );
+        let before = a.clone();
+        let clash = Interpretation::from_literals([GLit::pos(AtomId(1))]).unwrap();
+        assert_eq!(
+            a.union_with(&clash),
+            Err(Inconsistency(GLit::pos(AtomId(1))))
+        );
+        assert_eq!(a, before, "a refused union leaves the set unchanged");
     }
 
     #[test]

@@ -21,9 +21,10 @@ use olp_ground::{
 };
 use olp_parser::{parse_ground_literal, parse_program, parse_rule, ParseError};
 use olp_semantics::{
-    least_model_delta_flat, least_model_flat, least_model_flat_definite,
+    least_model_delta_flat, least_model_first, least_model_flat, least_model_flat_definite,
     least_model_monolithic_budgeted, least_model_morsel, stable_models_decomposed_cached,
-    stable_models_monolithic_budgeted, stable_models_parallel_budgeted, MorselCfg, View,
+    stable_models_monolithic_budgeted, stable_models_parallel_budgeted, GroupMemo, LeastFirst,
+    MorselCfg, View,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -513,7 +514,7 @@ pub struct Kb {
     flat_cache: FxHashMap<CompId, Arc<FlatView>>,
     /// Per object: memoised stable enumerations keyed by independent
     /// rule-group contents (see [`stable_models_decomposed_cached`]).
-    stable_cache: FxHashMap<CompId, FxHashMap<Vec<GroundRule>, Vec<Interpretation>>>,
+    stable_cache: FxHashMap<CompId, GroupMemo>,
     /// Per object: the last **complete, uncapped** stable enumeration,
     /// keyed by the view version it was computed at. Serves repeat
     /// `stable()` calls in O(1) when no visible rule changed (the group
@@ -731,12 +732,18 @@ impl Kb {
         opts: &QueryOptions,
     ) -> Result<Eval<Interpretation>, KbError> {
         let c = self.comp(object)?;
-        Ok(self.model_eval(c, opts))
+        Ok(self.model_eval(c, opts, &opts.budget()))
     }
 
-    /// [`Kb::model_with`] at component granularity (also the engine
-    /// behind the profile-guided stable/skeptical fast paths).
-    fn model_eval(&mut self, c: CompId, opts: &QueryOptions) -> Eval<Interpretation> {
+    /// [`Kb::model_with`] at component granularity, charged to `budget`
+    /// (also the least model behind the profile-guided stable,
+    /// skeptical and least-model-first paths).
+    fn model_eval(
+        &mut self,
+        c: CompId,
+        opts: &QueryOptions,
+        budget: &Budget,
+    ) -> Eval<Interpretation> {
         let vv = self.view_version(c);
         let epoch = self.epoch;
         let stale = match self.least_cache.get_mut(&c) {
@@ -754,7 +761,7 @@ impl Kb {
             let touched = self.touched_since(since);
             let old = self.least_cache[&c].model.clone();
             let fv = self.flat(c);
-            let eval = least_model_delta_flat(&fv, &old, &touched, &opts.budget());
+            let eval = least_model_delta_flat(&fv, &old, &touched, budget);
             if let Eval::Complete(m) = &eval {
                 let model = Arc::new(m.clone());
                 self.least_cache.insert(
@@ -770,7 +777,7 @@ impl Kb {
         }
         let eval = if !opts.decomp {
             let view = View::new(&self.ground, c);
-            least_model_monolithic_budgeted(&view, &opts.budget())
+            least_model_monolithic_budgeted(&view, budget)
         } else {
             let mut cfg = self.morsel_cfg(opts.threads);
             cfg.target_weight = opts.morsel_weight.max(1);
@@ -778,7 +785,7 @@ impl Kb {
             let fv = self.flat(c);
             // `threads <= 1` (and small programs) run the sequential
             // flat path inside `least_model_morsel` verbatim.
-            least_model_morsel(&fv, &cfg, &opts.budget())
+            least_model_morsel(&fv, &cfg, budget)
         };
         if let Eval::Complete(m) = &eval {
             let model = Arc::new(m.clone());
@@ -1349,32 +1356,43 @@ impl Kb {
         }
     }
 
-    /// The skeptical consequences in `object`: literals true in every
-    /// stable model (exponential; see
-    /// [`olp_semantics::skeptical_consequences`]).
-    pub fn skeptical(&mut self, object: &str) -> Result<Interpretation, KbError> {
-        let c = self.comp(object)?;
-        if self.proved_single_model(c) {
-            // Profile fast path: one stable model, so the skeptical
-            // consequences are exactly the least model.
-            self.ensure_model(c);
-            return Ok(self.least_cache[&c].model.as_ref().clone());
+    /// Query options for the unbudgeted [`Kb::stable`] /
+    /// [`Kb::skeptical`]: one thread, so the search runs through the
+    /// per-group memo.
+    fn unbudgeted_opts() -> QueryOptions {
+        QueryOptions {
+            threads: 1,
+            ..QueryOptions::default()
         }
-        Ok(olp_semantics::skeptical_consequences(
-            &View::new(&self.ground, c),
-            self.ground.n_atoms,
-        ))
+    }
+
+    /// The skeptical consequences in `object`: literals true in every
+    /// stable model (exponential in the contested part). Engine choice
+    /// as in [`Kb::skeptical_with`], on one thread.
+    pub fn skeptical(&mut self, object: &str) -> Result<Interpretation, KbError> {
+        Ok(self
+            .skeptical_with(object, &Self::unbudgeted_opts())?
+            .expect_complete("unlimited skeptical reasoning cannot be interrupted"))
     }
 
     /// [`Kb::skeptical`] under [`QueryOptions`] limits.
     ///
-    /// **Caveat:** a partial skeptical set intersects only the stable
-    /// models found before interruption, so it may *over*-approximate
-    /// (contain literals a complete run would drop). Treat it as
-    /// "consequences of the explored models", not safe conclusions.
-    /// Exception: on a profile-proved single-model view (the fast
-    /// path) the partial result is a prefix of the least model and
-    /// therefore *under*-approximates, like [`Kb::model_with`].
+    /// Engine choice, on a decomposed (default) query of a
+    /// profile-guided KB: a view the profile proves single-model answers
+    /// with its least model; any other view answers least model first
+    /// ([`least_model_first`]) — the least model joined with the
+    /// intersection of the stable models of the contested residual, the
+    /// only part searched. With [`Kb::set_profile_guided`]`(false)` or
+    /// `no_decomp`, the general engine searches the whole view.
+    ///
+    /// **Caveat:** a partial skeptical set that intersects some but not
+    /// all stable models may *over*-approximate (contain literals a
+    /// complete run would drop). Treat it as "consequences of the
+    /// explored models", not safe conclusions. Exception: when the least
+    /// model itself was interrupted, or on a profile-proved single-model
+    /// view, or when the residual search found no model yet, the partial
+    /// result is (a prefix of) the least model and therefore
+    /// *under*-approximates, like [`Kb::model_with`].
     pub fn skeptical_with(
         &mut self,
         object: &str,
@@ -1382,7 +1400,10 @@ impl Kb {
     ) -> Result<Eval<Interpretation>, KbError> {
         let c = self.comp(object)?;
         if opts.decomp && self.proved_single_model(c) {
-            return Ok(self.model_eval(c, opts));
+            return Ok(self.model_eval(c, opts, &opts.budget()));
+        }
+        if opts.decomp && self.profile_guided {
+            return Ok(self.least_first(c, opts, &opts.budget()).skeptical());
         }
         Ok(olp_semantics::skeptical_consequences_budgeted(
             &View::new(&self.ground, c),
@@ -1393,42 +1414,48 @@ impl Kb {
 
     /// The stable models of the program in `object` (Definition 9).
     /// Exponential in the contested part; use for choice-style KBs.
-    /// Independent rule groups are memoised per object: after a
-    /// mutation, groups whose rule instances did not change answer from
-    /// the cache.
+    /// Engine choice as in [`Kb::stable_with`], on one thread: the
+    /// independent rule groups searched are memoised per object, so
+    /// after a mutation, groups whose rule instances did not change
+    /// answer from the cache.
     pub fn stable(&mut self, object: &str) -> Result<Vec<Interpretation>, KbError> {
-        let c = self.comp(object)?;
-        if self.proved_single_model(c) {
-            // Profile fast path: the view is conflict-free or
-            // stratified, so the unique stable model is the least model
-            // — one fixpoint instead of assumption-set enumeration plus
-            // maximality filtering. Differentially tested byte-identical
-            // to the general engine (`profile_fastpath_matches_general`).
-            self.ensure_model(c);
-            return Ok(vec![self.least_cache[&c].model.as_ref().clone()]);
-        }
         Ok(self
-            .stable_cached(c, &Budget::unlimited(), None)
+            .stable_with(object, &Self::unbudgeted_opts())?
             .expect_complete("unlimited stable enumeration cannot be interrupted"))
     }
 
     /// [`Kb::stable`] under [`QueryOptions`] limits (including
-    /// `max_models`). Every model in a partial result is a genuine
-    /// assumption-free model, maximal among those explored; models the
-    /// search had not reached are missing.
+    /// `max_models`).
+    ///
+    /// Engine choice, on a decomposed (default) query of a
+    /// profile-guided KB:
+    /// * a view the profile proves single-model answers with its least
+    ///   model — one fixpoint instead of assumption-set enumeration plus
+    ///   maximality filtering (unless `max_models` is below 2, which
+    ///   keeps the general truncation semantics);
+    /// * any other view answers least model first
+    ///   ([`least_model_first`]): only the rule groups the least model
+    ///   leaves contested are compiled and searched — sequentially
+    ///   through the per-group memo at one thread, in parallel on more —
+    ///   and each residual stable model is joined with the least model.
+    ///
+    /// With [`Kb::set_profile_guided`]`(false)` or `no_decomp`, the
+    /// general engine searches the whole view: the differential
+    /// baseline the fast-path proptests compare against.
+    ///
+    /// Every model in a partial result is a genuine assumption-free
+    /// model, maximal among those explored; models the search had not
+    /// reached are missing. An interrupted least model yields no
+    /// models.
     pub fn stable_with(
         &mut self,
         object: &str,
         opts: &QueryOptions,
     ) -> Result<Eval<Vec<Interpretation>>, KbError> {
         let c = self.comp(object)?;
-        // Profile fast path: provably exactly one stable model — the
-        // least model. `no_decomp` stays on the general engine (it is
-        // the differential baseline), and a cap below 2 keeps the
-        // general truncation semantics (`Interrupted(ModelCap)`).
         if opts.decomp && opts.max_models.is_none_or(|cap| cap >= 2) && self.proved_single_model(c)
         {
-            return Ok(match self.model_eval(c, opts) {
+            return Ok(match self.model_eval(c, opts, &opts.budget()) {
                 Eval::Complete(m) => Eval::Complete(vec![m]),
                 // A partial least model is not a stable model: report
                 // the interruption with no models, like a search that
@@ -1446,12 +1473,11 @@ impl Kb {
                 &opts.budget(),
                 opts.max_models,
             )
-        } else if opts.threads > 1 {
+        } else if opts.threads > 1 && !self.profile_guided {
             // Parallel enumeration explores independent rule groups (or
-            // propagated search prefixes) on worker threads; budgeted
-            // maximality filtering afterwards yields the same stable set
-            // as the sequential engine. This path skips the per-group
-            // memo.
+            // propagated search prefixes) on worker threads and yields
+            // the same stable set as the sequential engine. This path
+            // skips the memos.
             stable_models_parallel_budgeted(
                 &View::new(&self.ground, c),
                 self.ground.n_atoms,
@@ -1460,42 +1486,73 @@ impl Kb {
                 opts.max_models,
             )
         } else {
-            self.stable_cached(c, &opts.budget(), opts.max_models)
+            self.stable_cached(c, opts)
         })
     }
 
     /// Decomposed stable enumeration through two layers of memoisation:
     /// a whole-result memo keyed by view version (O(1) when no visible
-    /// rule changed since the last complete, uncapped enumeration) and
-    /// the per-group memo (bounded by [`STABLE_CACHE_CAP`]) that reuses
-    /// unchanged independent rule groups when one did.
-    fn stable_cached(
-        &mut self,
-        c: CompId,
-        budget: &Budget,
-        max_models: Option<usize>,
-    ) -> Eval<Vec<Interpretation>> {
+    /// rule changed since the last complete, uncapped enumeration) and,
+    /// on one thread, the per-group memo (bounded by
+    /// [`STABLE_CACHE_CAP`]) that reuses unchanged independent rule
+    /// groups when one did. A guided KB searches the contested residual
+    /// only ([`Kb::least_first`]); its groups are whole view groups, so
+    /// the memo keys are the same.
+    fn stable_cached(&mut self, c: CompId, opts: &QueryOptions) -> Eval<Vec<Interpretation>> {
         let vv = self.view_version(c);
-        if max_models.is_none() {
+        if opts.max_models.is_none() {
             if let Some((v, models)) = self.stable_results.get(&c) {
                 if *v == vv {
                     return Eval::Complete(models.clone());
                 }
             }
         }
-        let cache = self.stable_cache.entry(c).or_default();
-        let view = View::new(&self.ground, c);
-        let eval =
-            stable_models_decomposed_cached(&view, self.ground.n_atoms, budget, max_models, cache);
-        if cache.len() > STABLE_CACHE_CAP {
-            cache.clear();
-        }
-        if max_models.is_none() {
+        let budget = opts.budget();
+        let eval = if self.profile_guided {
+            self.least_first(c, opts, &budget).stable()
+        } else {
+            let cache = self.stable_cache.entry(c).or_default();
+            let view = View::new(&self.ground, c);
+            let eval = stable_models_decomposed_cached(
+                &view,
+                self.ground.n_atoms,
+                &budget,
+                opts.max_models,
+                cache,
+            );
+            if cache.len() > STABLE_CACHE_CAP {
+                cache.clear();
+            }
+            eval
+        };
+        if opts.max_models.is_none() {
             if let Eval::Complete(models) = &eval {
                 self.stable_results.insert(c, (vv, models.clone()));
             }
         }
         eval
+    }
+
+    /// The least-model-first reading of `c` under `opts`
+    /// ([`least_model_first`]): the cached least model, then a search of
+    /// the contested residual only — through the per-group memo at one
+    /// thread — all charged to `budget`.
+    fn least_first(&mut self, c: CompId, opts: &QueryOptions, budget: &Budget) -> LeastFirst {
+        let least = self.model_eval(c, opts, budget);
+        let cache = self.stable_cache.entry(c).or_default();
+        let lf = least_model_first(
+            &self.ground,
+            c,
+            least,
+            opts.threads,
+            Some(cache),
+            budget,
+            opts.max_models,
+        );
+        if cache.len() > STABLE_CACHE_CAP {
+            cache.clear();
+        }
+        lf
     }
 
     /// Differences between two objects' least models: the literals on
@@ -1614,6 +1671,7 @@ impl Kb {
             self.epoch,
             self.threads,
             self.morsel_weight,
+            self.profile_guided,
             self.flat_cache.clone(),
             models,
             profiles,

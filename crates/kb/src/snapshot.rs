@@ -28,15 +28,16 @@
 use crate::kb::{KbError, QueryOptions};
 use olp_analyze::ComponentProfile;
 use olp_core::{
-    CompId, Eval, FxHashMap, GLit, GTerm, GTermId, Interpretation, Interrupted, Literal, Sym, Term,
-    Truth, World,
+    Budget, CompId, Eval, FxHashMap, GLit, GTerm, GTermId, Interpretation, Interrupted, Literal,
+    Sym, Term, Truth, World,
 };
 use olp_ground::{FlatView, GroundProgram};
 use olp_parser::{parse_ground_literal, parse_literal};
 use olp_semantics::{
-    credulous_consequences_budgeted, least_model_monolithic_budgeted, least_model_morsel,
-    skeptical_consequences_budgeted, stable_models_decomposed_budgeted,
-    stable_models_monolithic_budgeted, stable_models_parallel_budgeted, MorselCfg, View,
+    credulous_consequences_budgeted, least_model_first, least_model_monolithic_budgeted,
+    least_model_morsel, skeptical_consequences_budgeted, stable_models_decomposed_budgeted,
+    stable_models_monolithic_budgeted, stable_models_parallel_budgeted, LeastFirst, MorselCfg,
+    View,
 };
 use std::sync::{Arc, Mutex};
 
@@ -55,6 +56,9 @@ pub struct KbSnapshot {
     epoch: u64,
     threads: usize,
     morsel_weight: u64,
+    /// The publishing KB's [`crate::Kb::profile_guided`] bit: whether
+    /// stable, skeptical and credulous reads answer least model first.
+    profile_guided: bool,
     /// Compiled flat arenas, seeded from the publishing KB's
     /// current-epoch cache and extended on demand.
     flat: Mutex<FxHashMap<CompId, Arc<FlatView>>>,
@@ -79,6 +83,7 @@ impl KbSnapshot {
         epoch: u64,
         threads: usize,
         morsel_weight: u64,
+        profile_guided: bool,
         flat: FxHashMap<CompId, Arc<FlatView>>,
         models: FxHashMap<CompId, Arc<Interpretation>>,
         profiles: FxHashMap<CompId, Arc<ComponentProfile>>,
@@ -90,6 +95,7 @@ impl KbSnapshot {
             epoch,
             threads,
             morsel_weight,
+            profile_guided,
             flat: Mutex::new(flat),
             models: Mutex::new(models),
             profiles,
@@ -193,16 +199,22 @@ impl KbSnapshot {
             .clone()
     }
 
-    /// The least model of component `c` under `opts`, memoised on
-    /// completion. Mirrors [`crate::Kb::model_with`]'s fresh-computation
-    /// paths; every engine returns identical answers, so which one runs
-    /// is invisible in the result.
-    fn model_eval(&self, c: CompId, opts: &QueryOptions) -> Eval<Arc<Interpretation>> {
+    /// The least model of component `c` under `opts`, charged to
+    /// `budget`, memoised on completion. Mirrors
+    /// [`crate::Kb::model_with`]'s fresh-computation paths; every engine
+    /// returns identical answers, so which one runs is invisible in the
+    /// result.
+    fn model_eval(
+        &self,
+        c: CompId,
+        opts: &QueryOptions,
+        budget: &Budget,
+    ) -> Eval<Arc<Interpretation>> {
         if let Some(m) = self.models.lock().expect("model cache poisoned").get(&c) {
             return Eval::Complete(m.clone());
         }
         let eval = if !opts.decomp {
-            least_model_monolithic_budgeted(&View::new(&self.ground, c), &opts.budget())
+            least_model_monolithic_budgeted(&View::new(&self.ground, c), budget)
         } else {
             let fv = self.flat(c);
             let cfg = MorselCfg {
@@ -210,7 +222,7 @@ impl KbSnapshot {
                 target_weight: opts.morsel_weight.max(1),
                 ..MorselCfg::default()
             };
-            least_model_morsel(&fv, &cfg, &opts.budget())
+            least_model_morsel(&fv, &cfg, budget)
         };
         match eval {
             Eval::Complete(m) => {
@@ -238,7 +250,7 @@ impl KbSnapshot {
         opts: &QueryOptions,
     ) -> Result<Eval<Arc<Interpretation>>, KbError> {
         let c = self.comp(object)?;
-        Ok(self.model_eval(c, opts))
+        Ok(self.model_eval(c, opts, &opts.budget()))
     }
 
     /// Truth of a ground literal in `object`'s least model under
@@ -254,7 +266,7 @@ impl KbSnapshot {
     ) -> Result<Eval<Truth>, KbError> {
         let c = self.comp(object)?;
         let lit = self.resolve_ground(query)?;
-        Ok(self.model_eval(c, opts).map(|m| match lit {
+        Ok(self.model_eval(c, opts, &opts.budget()).map(|m| match lit {
             None => Truth::Undefined,
             Some(l) => {
                 if m.holds(l) {
@@ -283,33 +295,61 @@ impl KbSnapshot {
         let lit = parse_literal(&mut scratch, pattern).map_err(KbError::Parse)?;
         let c = self.comp(object)?;
         Ok(self
-            .model_eval(c, opts)
+            .model_eval(c, opts, &opts.budget())
             .map(|m| self.enumerate_bindings(&scratch, &lit, &m)))
+    }
+
+    /// The least-model-first reading of `c` under `opts`
+    /// ([`least_model_first`]): the memoised least model, then a search
+    /// of the contested residual only, all charged to one budget.
+    fn least_first(&self, c: CompId, opts: &QueryOptions) -> LeastFirst {
+        let budget = opts.budget();
+        let least = self
+            .model_eval(c, opts, &budget)
+            .map(|m| m.as_ref().clone());
+        least_model_first(
+            &self.ground,
+            c,
+            least,
+            opts.threads,
+            None,
+            &budget,
+            opts.max_models,
+        )
+    }
+
+    /// Whether a decomposed read of `c` takes the single-model fast
+    /// path: its frozen profile (only a guided KB hands profiles over)
+    /// proves the view single-model.
+    fn proved_single_model(&self, c: CompId, opts: &QueryOptions) -> bool {
+        opts.decomp && self.profiles.get(&c).is_some_and(|p| p.single_model)
     }
 
     /// The stable models of the program in `object` under `opts`
     /// (including `max_models`). Engine choice mirrors
-    /// [`crate::Kb::stable_with`] minus the mutable per-group memo.
+    /// [`crate::Kb::stable_with`] minus the mutable per-group memo: on a
+    /// guided, decomposed read a view the frozen profile proves
+    /// single-model answers from the least model, and any other view
+    /// searches only its contested residual ([`least_model_first`]);
+    /// `no_decomp` or an unguided KB runs the general engine on the
+    /// whole view.
     pub fn stable_with(
         &self,
         object: &str,
         opts: &QueryOptions,
     ) -> Result<Eval<Vec<Interpretation>>, KbError> {
         let c = self.comp(object)?;
-        // Profile fast path, mirroring [`crate::Kb::stable_with`]: a
-        // frozen profile proving the view single-model collapses stable
-        // enumeration to the least model.
-        if opts.decomp
-            && opts.max_models.is_none_or(|cap| cap >= 2)
-            && self.profiles.get(&c).is_some_and(|p| p.single_model)
-        {
-            return Ok(match self.model_eval(c, opts) {
+        if opts.max_models.is_none_or(|cap| cap >= 2) && self.proved_single_model(c, opts) {
+            return Ok(match self.model_eval(c, opts, &opts.budget()) {
                 Eval::Complete(m) => Eval::Complete(vec![m.as_ref().clone()]),
                 Eval::Interrupted(i) => Eval::Interrupted(Interrupted {
                     reason: i.reason,
                     partial: Vec::new(),
                 }),
             });
+        }
+        if opts.decomp && self.profile_guided {
+            return Ok(self.least_first(c, opts).stable());
         }
         Ok(if !opts.decomp {
             stable_models_monolithic_budgeted(
@@ -337,18 +377,23 @@ impl KbSnapshot {
     }
 
     /// The skeptical consequences in `object` (true in every stable
-    /// model) under `opts`. Same over-approximation caveat on partial
-    /// results as [`crate::Kb::skeptical_with`].
+    /// model) under `opts`. Engine choice and the caveats on partial
+    /// results are those of [`crate::Kb::skeptical_with`].
     pub fn skeptical_with(
         &self,
         object: &str,
         opts: &QueryOptions,
     ) -> Result<Eval<Interpretation>, KbError> {
         let c = self.comp(object)?;
-        if opts.decomp && self.profiles.get(&c).is_some_and(|p| p.single_model) {
+        if self.proved_single_model(c, opts) {
             // One stable model: the skeptical consequences are the
             // least model (partial results under-approximate here).
-            return Ok(self.model_eval(c, opts).map(|m| m.as_ref().clone()));
+            return Ok(self
+                .model_eval(c, opts, &opts.budget())
+                .map(|m| m.as_ref().clone()));
+        }
+        if opts.decomp && self.profile_guided {
+            return Ok(self.least_first(c, opts).skeptical());
         }
         Ok(skeptical_consequences_budgeted(
             &View::new(&self.ground, c),
@@ -358,13 +403,21 @@ impl KbSnapshot {
     }
 
     /// The credulous consequences in `object` (true in some stable
-    /// model) under `opts`, as a sorted literal list.
+    /// model) under `opts`, as a sorted literal list. A guided,
+    /// decomposed read searches only the contested residual
+    /// ([`LeastFirst::credulous`]; a partial result is empty when the
+    /// least model itself was interrupted); otherwise the general
+    /// engine ([`credulous_consequences_budgeted`]) runs on the whole
+    /// view.
     pub fn credulous_with(
         &self,
         object: &str,
         opts: &QueryOptions,
     ) -> Result<Eval<Vec<GLit>>, KbError> {
         let c = self.comp(object)?;
+        if opts.decomp && self.profile_guided {
+            return Ok(self.least_first(c, opts).credulous());
+        }
         Ok(credulous_consequences_budgeted(
             &View::new(&self.ground, c),
             self.ground.n_atoms,
@@ -389,7 +442,7 @@ impl KbSnapshot {
                 self.epoch
             )));
         };
-        Ok(self.model_eval(c, opts).map(|m| {
+        Ok(self.model_eval(c, opts, &opts.budget()).map(|m| {
             let view = View::new(&self.ground, c);
             let why = olp_semantics::explain_in(&view, &m, lit);
             olp_semantics::render_why(&self.world, &view, &why)
@@ -612,6 +665,73 @@ mod tests {
             .unwrap()
             .into_value()
             .is_empty());
+
+        // A p5-style contested object: K species each with `pa` and `pb`
+        // defeating each other below the penguin taxonomy, so `judge` has
+        // 2^K stable models. Guided snapshot reads (least model first)
+        // must match the live KB and the general engine at 1 and 4
+        // threads.
+        const K: usize = 3;
+        let contested = |guided: bool| {
+            let mut b = KbBuilder::new();
+            b.rules(
+                "bird",
+                "bird(penguin). bird(pigeon). fly(X) :- bird(X).
+                 -ground_animal(X) :- bird(X).",
+            )
+            .unwrap();
+            let facts: String = (0..K).map(|i| format!("pa(s{i}). pb(s{i}). ")).collect();
+            b.rules("evidence", &facts).unwrap();
+            b.isa("judge", "bird");
+            b.isa("judge", "evidence");
+            b.rules("judge", "-pa(X) :- pb(X). -pb(X) :- pa(X).")
+                .unwrap();
+            let mut kb = b.build(GroundStrategy::Smart).unwrap();
+            kb.set_profile_guided(guided);
+            kb.warm_profiles();
+            kb
+        };
+        let sorted = |snap: &crate::KbSnapshot, ms: &[olp_core::Interpretation]| {
+            let mut v: Vec<String> = ms.iter().map(|m| snap.render(m)).collect();
+            v.sort();
+            v
+        };
+        let mut live = contested(true);
+        let live_stable = live.stable("judge").unwrap();
+        let live_skeptical = live.skeptical("judge").unwrap();
+        let (guided, general) = (live.snapshot(), contested(false).snapshot());
+        assert_eq!(sorted(&guided, &live_stable).len(), 1 << K);
+        for threads in [1, 4] {
+            let opts = QueryOptions::new().threads(threads);
+            let stable = guided.stable_with("judge", &opts).unwrap().into_value();
+            assert_eq!(sorted(&guided, &stable), sorted(&guided, &live_stable));
+            assert_eq!(
+                sorted(&guided, &stable),
+                sorted(
+                    &general,
+                    &general.stable_with("judge", &opts).unwrap().into_value()
+                )
+            );
+            let skeptical = guided.skeptical_with("judge", &opts).unwrap().into_value();
+            assert_eq!(skeptical, live_skeptical);
+            assert_eq!(
+                guided.render(&skeptical),
+                general.render(&general.skeptical_with("judge", &opts).unwrap().into_value())
+            );
+            let render_lits = |snap: &crate::KbSnapshot, ls: Vec<olp_core::GLit>| {
+                ls.into_iter()
+                    .map(|l| snap.render_glit(l))
+                    .collect::<Vec<_>>()
+            };
+            let credulous = guided.credulous_with("judge", &opts).unwrap().into_value();
+            assert_eq!(
+                render_lits(&guided, credulous),
+                render_lits(
+                    &general,
+                    general.credulous_with("judge", &opts).unwrap().into_value()
+                )
+            );
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@
 //! model) resp. only complete group tuples (every partial entry is a
 //! genuine AF model of the whole view).
 
-use crate::stable::maximal_only;
+use crate::stable::{maximal_if_cheap, maximal_only};
 use crate::stable_solver::enumerate_assumption_free_propagating_budgeted;
 use crate::view::{LocalIdx, View};
 use olp_core::{tarjan_scc, Budget, Eval, FxHashMap, Interpretation, InterruptReason, Interrupted};
@@ -82,7 +82,7 @@ pub struct Decomposition {
     groups: Vec<Vec<u32>>,
 }
 
-fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
+pub(crate) fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
     while parent[x as usize] != x {
         // Path halving.
         parent[x as usize] = parent[parent[x as usize] as usize];
@@ -91,7 +91,7 @@ fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
     x
 }
 
-fn uf_union(parent: &mut [u32], a: u32, b: u32) {
+pub(crate) fn uf_union(parent: &mut [u32], a: u32, b: u32) {
     let ra = uf_find(parent, a);
     let rb = uf_find(parent, b);
     if ra != rb {
@@ -907,16 +907,7 @@ pub fn stable_models_decomposed_budgeted(
             Eval::Complete(ms) => per_group.push(maximal_only(ms)),
             Eval::Interrupted(Interrupted { reason, partial }) => {
                 if gi + 1 == n_groups {
-                    // Cheap-filter guard as in `stable_models_budgeted`:
-                    // never follow an exhausted budget with a quadratic
-                    // pass over a huge list.
-                    const CHEAP_FILTER: usize = 1024;
-                    let partial = if partial.len() <= CHEAP_FILTER {
-                        maximal_only(partial)
-                    } else {
-                        partial
-                    };
-                    per_group.push(partial);
+                    per_group.push(maximal_if_cheap(partial));
                     return combine(&per_group, Some(reason), cap, budget);
                 }
                 return Eval::Interrupted(Interrupted {
@@ -928,6 +919,10 @@ pub fn stable_models_decomposed_budgeted(
     }
     combine(&per_group, None, cap, budget)
 }
+
+/// The per-group memo of [`stable_models_decomposed_cached`]: a group's
+/// canonicalised rule multiset to its stable models.
+pub type GroupMemo = FxHashMap<Vec<olp_ground::GroundRule>, Vec<Interpretation>>;
 
 /// [`stable_models_decomposed_budgeted`] with a **per-group memo
 /// cache**, the stable-model side of incremental maintenance: a
@@ -942,13 +937,12 @@ pub fn stable_models_decomposed_budgeted(
 /// The caller owns `cache` and is responsible for keying it per
 /// consumer component (group semantics depends on the view's vantage
 /// component through the attack relations) and for bounding its size.
-#[allow(clippy::implicit_hasher)] // the cache type is FxHashMap by design, not a generic map
 pub fn stable_models_decomposed_cached(
     view: &View,
     n_atoms: usize,
     budget: &Budget,
     max_models: Option<usize>,
-    cache: &mut FxHashMap<Vec<olp_ground::GroundRule>, Vec<Interpretation>>,
+    cache: &mut GroupMemo,
 ) -> Eval<Vec<Interpretation>> {
     let d = Decomposition::new(view);
     if d.groups().len() <= 1 {
@@ -976,13 +970,7 @@ pub fn stable_models_decomposed_cached(
             }
             Eval::Interrupted(Interrupted { reason, partial }) => {
                 if gi + 1 == n_groups {
-                    const CHEAP_FILTER: usize = 1024;
-                    let partial = if partial.len() <= CHEAP_FILTER {
-                        maximal_only(partial)
-                    } else {
-                        partial
-                    };
-                    per_group.push(partial);
+                    per_group.push(maximal_if_cheap(partial));
                     return combine(&per_group, Some(reason), cap, budget);
                 }
                 return Eval::Interrupted(Interrupted {
@@ -998,8 +986,15 @@ pub fn stable_models_decomposed_cached(
 /// Parallel group-level enumeration: whole groups are distributed to the
 /// worker threads (each group's sub-view is solved independently), and
 /// the per-group sets are combined as a product. Used by
-/// [`crate::enumerate_assumption_free_parallel_budgeted`] when the view
-/// splits; the caller falls back to prefix splitting otherwise.
+/// [`crate::enumerate_assumption_free_parallel_budgeted`] and, with
+/// `maximal` set, by [`crate::stable_models_parallel_budgeted`] when the
+/// view splits; the callers fall back to prefix splitting otherwise.
+///
+/// With `maximal`, each group's models are filtered for maximality on
+/// its worker before the product, as in
+/// [`stable_models_decomposed_budgeted`]: the product of per-group
+/// maximal AF models is the stable model set, and the quadratic filter
+/// never sees the product.
 ///
 /// Unlike the sequential path, an interrupted group still contributes
 /// its verified partial list — the other groups finished (or were
@@ -1011,6 +1006,7 @@ pub(crate) fn enumerate_af_groups_parallel(
     threads: usize,
     budget: &Budget,
     max_models: Option<usize>,
+    maximal: bool,
 ) -> Eval<Vec<Interpretation>> {
     let groups = d.groups();
     let threads = threads.max(1).min(groups.len());
@@ -1027,12 +1023,21 @@ pub(crate) fn enumerate_af_groups_parallel(
                     return;
                 }
                 let sub = view.restrict(&groups[gi]);
-                let r = enumerate_assumption_free_propagating_budgeted(
+                let r = match enumerate_assumption_free_propagating_budgeted(
                     &sub,
                     view.gp.n_atoms,
                     budget,
                     None,
-                );
+                ) {
+                    Eval::Complete(ms) if maximal => Eval::Complete(maximal_only(ms)),
+                    Eval::Interrupted(Interrupted { reason, partial }) if maximal => {
+                        Eval::Interrupted(Interrupted {
+                            reason,
+                            partial: maximal_if_cheap(partial),
+                        })
+                    }
+                    r => r,
+                };
                 *slots[gi].lock().expect("slot") = Some(r);
             });
         }
@@ -1181,18 +1186,49 @@ mod tests {
 
     #[test]
     fn parallel_groups_agree_with_sequential() {
-        let (w, g) = ground(TWO_FIG2);
-        let v = View::new(&g, CompId(2));
-        let d = Decomposition::new(&v);
-        assert!(d.groups().len() > 1);
-        for threads in [1, 2, 4] {
-            let par = enumerate_af_groups_parallel(&v, &d, threads, &Budget::unlimited(), None)
+        // TWO_FIG2 plus two Example 5 clones: groups with several AF
+        // models of which only some are maximal, so the parallel stable
+        // path must filter each group before the product.
+        for (src, comp) in [
+            (TWO_FIG2, CompId(2)),
+            (
+                "module c2 { a. b. c. x. y. z. }
+                 module c1 < c2 { -a :- b, c. -b :- a. -b :- -b.
+                                  -x :- y, z. -y :- x. -y :- -y. }",
+                CompId(1),
+            ),
+        ] {
+            let (w, g) = ground(src);
+            let v = View::new(&g, comp);
+            let d = Decomposition::new(&v);
+            assert!(d.groups().len() > 1);
+            let stable = renders(&w, &stable_models_decomposed(&v, g.n_atoms));
+            for threads in [1, 2, 4] {
+                let par = enumerate_af_groups_parallel(
+                    &v,
+                    &d,
+                    threads,
+                    &Budget::unlimited(),
+                    None,
+                    false,
+                )
                 .into_value();
-            assert_eq!(
-                renders(&w, &par),
-                renders(&w, &enumerate_assumption_free_decomposed(&v, g.n_atoms)),
-                "threads {threads}"
-            );
+                assert_eq!(
+                    renders(&w, &par),
+                    renders(&w, &enumerate_assumption_free_decomposed(&v, g.n_atoms)),
+                    "threads {threads}"
+                );
+                let par_stable = crate::stable_models_parallel_budgeted(
+                    &v,
+                    g.n_atoms,
+                    threads,
+                    &Budget::unlimited(),
+                    None,
+                )
+                .into_value();
+                assert_eq!(renders(&w, &par_stable), stable, "threads {threads}");
+            }
+            assert_eq!(stable, renders(&w, &stable_models_naive(&v, g.n_atoms)));
         }
     }
 

@@ -19,7 +19,9 @@
 //!   total models (Def. 5a);
 //! * [`Decomposition`] — SCC condensation of the dependency graph:
 //!   stratified fixpoints and product-form enumeration over independent
-//!   rule groups (on by default in [`least_model`] / [`stable_models`]).
+//!   rule groups (on by default in [`least_model`] / [`stable_models`]);
+//! * [`least_model_first`] — stable, skeptical and credulous readings
+//!   that search only the groups the least model leaves contested.
 //!
 //! ## Quick example (the paper's Fig. 1)
 //!
@@ -79,6 +81,7 @@ pub mod decomp;
 pub mod explain;
 pub mod fixpoint;
 pub mod flat_eval;
+pub mod least_first;
 pub mod model;
 pub mod prove;
 pub mod skeptical;
@@ -94,7 +97,7 @@ pub use decomp::{
     least_model_delta, least_model_stratified, least_model_stratified_budgeted,
     least_model_stratified_with, least_model_wavefront, least_model_wavefront_with,
     stable_models_decomposed, stable_models_decomposed_budgeted, stable_models_decomposed_cached,
-    Decomposition,
+    Decomposition, GroupMemo,
 };
 pub use explain::{explain, explain_budgeted, explain_in, render_why, Fate, Proof, Why};
 pub use fixpoint::{
@@ -106,6 +109,7 @@ pub use flat_eval::{
     flatten, least_model_delta_flat, least_model_flat, least_model_flat_budgeted,
     least_model_flat_definite, least_model_morsel, least_model_morsel_forced, MorselCfg,
 };
+pub use least_first::{least_model_first, LeastFirst};
 pub use model::{check_model, is_model, ModelViolation};
 pub use olp_core::{
     Budget, Eval, Inconsistency, Interpretation, InterruptReason, Interrupted, Truth,

@@ -248,6 +248,22 @@ pub fn maximal_only(models: Vec<Interpretation>) -> Vec<Interpretation> {
     out
 }
 
+/// [`maximal_only`] on the partial list of an interrupted enumeration,
+/// but only when that is provably cheap. The budget is already spent
+/// there, and the filter is quadratic: on a large list it could cost
+/// far more than the limit just enforced (a 1-second deadline must not
+/// be followed by a 10-second filter). A longer list is returned raw,
+/// which satisfies the same anytime guarantee (every member is a
+/// genuine AF model).
+pub(crate) fn maximal_if_cheap(partial: Vec<Interpretation>) -> Vec<Interpretation> {
+    const CHEAP_FILTER: usize = 1024;
+    if partial.len() <= CHEAP_FILTER {
+        maximal_only(partial)
+    } else {
+        partial
+    }
+}
+
 /// Budgeted [`maximal_only`]: same result on completion, but the
 /// quadratic pairwise filter ticks the budget once per comparison, so
 /// a deadline or cancellation stops it promptly even over a huge model
@@ -348,22 +364,10 @@ pub fn stable_models_monolithic_budgeted(
         view, n_atoms, budget, max_models,
     ) {
         Eval::Complete(ms) => Eval::Complete(maximal_only(ms)),
-        Eval::Interrupted(Interrupted { reason, partial }) => {
-            // The budget is already spent here, and `maximal_only` is
-            // quadratic — on a large partial list it could cost far more
-            // than the limit it just enforced (a 1-second deadline must
-            // not be followed by a 10-second filter). Filter only when
-            // it is provably cheap; otherwise return the raw
-            // assumption-free list, which satisfies the same anytime
-            // guarantee (every member is a genuine AF model).
-            const CHEAP_FILTER: usize = 1024;
-            let partial = if partial.len() <= CHEAP_FILTER {
-                maximal_only(partial)
-            } else {
-                partial
-            };
-            Eval::Interrupted(Interrupted { reason, partial })
-        }
+        Eval::Interrupted(Interrupted { reason, partial }) => Eval::Interrupted(Interrupted {
+            reason,
+            partial: maximal_if_cheap(partial),
+        }),
     }
 }
 

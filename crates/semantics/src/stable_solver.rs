@@ -486,14 +486,25 @@ pub fn enumerate_assumption_free_parallel_budgeted(
     // Group-level parallelism first: when the view splits into
     // independent rule groups, whole groups are distributed to the
     // workers and the per-group model sets combined as a product
-    // ([`crate::decomp`]). Prefix splitting below is the fallback for a
+    // ([`crate::decomp`]). Prefix splitting is the fallback for a
     // single connected group.
     let decomp = crate::decomp::Decomposition::new(view);
     if decomp.groups().len() > 1 {
         return crate::decomp::enumerate_af_groups_parallel(
-            view, &decomp, threads, budget, max_models,
+            view, &decomp, threads, budget, max_models, false,
         );
     }
+    enumerate_af_prefix_parallel(view, threads, budget, max_models)
+}
+
+/// Prefix-splitting parallel enumeration of one connected view (see
+/// [`enumerate_assumption_free_parallel_budgeted`]).
+fn enumerate_af_prefix_parallel(
+    view: &View,
+    threads: usize,
+    budget: &Budget,
+    max_models: Option<usize>,
+) -> Eval<Vec<Interpretation>> {
     let d = match crate::stable::derivability_closure_budgeted(view, budget) {
         Ok(d) => d,
         Err(reason) => {
@@ -637,27 +648,36 @@ pub fn enumerate_assumption_free_parallel_budgeted(
 
 /// Stable models via the parallel enumerator.
 pub fn stable_models_parallel(view: &View, n_atoms: usize, threads: usize) -> Vec<Interpretation> {
-    maximal_only(enumerate_assumption_free_parallel(view, n_atoms, threads))
+    stable_models_parallel_budgeted(view, n_atoms, threads, &Budget::unlimited(), None).into_value()
 }
 
-/// Budgeted stable models via the parallel enumerator: parallel
-/// assumption-free enumeration followed by the **budgeted** maximality
-/// filter ([`crate::stable::maximal_only_budgeted`]). The filter must
-/// share the budget: an enumeration interrupted by a deadline can hand
-/// it a huge candidate set, and an unbudgeted quadratic pass would then
-/// dwarf the deadline it was meant to honour. When the enumeration was
-/// itself interrupted its reason wins, and the partial set may contain
+/// Budgeted stable models via the parallel enumerator.
+///
+/// A view that splits into independent rule groups is solved group by
+/// group on the workers, each group filtered for maximality before the
+/// product, exactly as [`crate::stable_models_decomposed_budgeted`]
+/// does sequentially. A single connected view runs the prefix-splitting
+/// enumeration followed by the **budgeted** maximality filter
+/// ([`crate::stable::maximal_only_budgeted`]). The filter must share the
+/// budget: an enumeration interrupted by a deadline can hand it a huge
+/// candidate set, and an unbudgeted quadratic pass would then dwarf the
+/// deadline it was meant to honour. When the enumeration was itself
+/// interrupted its reason wins, and the partial set may contain
 /// non-maximal assumption-free models (the filter gets no budget left).
 pub fn stable_models_parallel_budgeted(
     view: &View,
-    n_atoms: usize,
+    _n_atoms: usize,
     threads: usize,
     budget: &Budget,
     max_models: Option<usize>,
 ) -> Eval<Vec<Interpretation>> {
-    let (af, reason) = match enumerate_assumption_free_parallel_budgeted(
-        view, n_atoms, threads, budget, max_models,
-    ) {
+    let decomp = crate::decomp::Decomposition::new(view);
+    if decomp.groups().len() > 1 {
+        return crate::decomp::enumerate_af_groups_parallel(
+            view, &decomp, threads, budget, max_models, true,
+        );
+    }
+    let (af, reason) = match enumerate_af_prefix_parallel(view, threads, budget, max_models) {
         Eval::Complete(ms) => (ms, None),
         Eval::Interrupted(i) => (i.partial, Some(i.reason)),
     };

@@ -13,6 +13,12 @@
 //!   explored portion, so the reference is the AF enumeration, not the
 //!   stable list);
 //! * a partial `prove` never answers `true` wrongly;
+//! * least-model-first reads (guided `KbSnapshot`/`Kb` stable,
+//!   skeptical and credulous queries) interrupted in the least model
+//!   return no stable models or credulous literals and a prefix of the
+//!   least model as skeptical set; interrupted in the residual search,
+//!   their stable models are genuine AF models and their credulous
+//!   literals are witnessed by some;
 //! * an interrupted **incremental mutation** is not applied: the KB
 //!   stays queryable and exactly consistent with its pre-mutation
 //!   state;
@@ -25,7 +31,7 @@ use ordered_logic::kb::{GroundStrategy, KbBuilder, QueryOptions};
 use ordered_logic::semantics::{
     credulous_consequences_budgeted, enumerate_assumption_free_budgeted,
     enumerate_assumption_free_parallel_budgeted, enumerate_assumption_free_propagating,
-    enumerate_assumption_free_propagating_budgeted, explain_budgeted, least_model,
+    enumerate_assumption_free_propagating_budgeted, explain_budgeted, is_model, least_model,
     least_model_budgeted, least_model_naive_budgeted, prove_budgeted,
     skeptical_consequences_budgeted, stable_models_budgeted, View, Why,
 };
@@ -395,6 +401,161 @@ fn unlimited_budget_is_always_complete() {
             assert!(
                 stable_models_budgeted(&view, g.n_atoms, &Budget::unlimited(), None).is_complete()
             );
+        }
+    }
+}
+
+/// A KB whose `judge` object has 2^k stable models: k species with
+/// `pa` and `pb` facts in `evidence` defeating each other in `judge`,
+/// below an uncontested taxonomy the least model decides. Guided
+/// snapshot reads of `judge` answer least model first.
+fn contested_kb(k: usize, guided: bool, warm_models: bool) -> ordered_logic::kb::Kb {
+    let mut b = KbBuilder::new();
+    b.rules(
+        "bird",
+        "bird(penguin). bird(pigeon). fly(X) :- bird(X). -ground_animal(X) :- bird(X).",
+    )
+    .expect("parses");
+    let facts: String = (0..k).map(|i| format!("pa(s{i}). pb(s{i}). ")).collect();
+    b.rules("evidence", &facts).expect("parses");
+    b.isa("judge", "bird");
+    b.isa("judge", "evidence");
+    b.rules("judge", "-pa(X) :- pb(X). -pb(X) :- pa(X).")
+        .expect("parses");
+    let mut kb = b.build(GroundStrategy::Smart).expect("grounds");
+    kb.set_profile_guided(guided);
+    kb.warm_profiles();
+    if warm_models {
+        kb.model("judge").expect("known object");
+    }
+    kb
+}
+
+/// `judge`'s view and least model in `kb`'s current grounding.
+fn judge_oracle(
+    kb: &mut ordered_logic::kb::Kb,
+) -> (
+    GroundProgram,
+    ordered_logic::core::CompId,
+    ordered_logic::core::Interpretation,
+) {
+    let lm = kb.model("judge").expect("known object").clone();
+    let w = kb.world();
+    let c = kb
+        .program()
+        .component_by_name(w.syms.get("judge").expect("interned"))
+        .expect("an object");
+    (kb.ground_program().clone(), c, lm)
+}
+
+#[test]
+fn least_model_first_deadline_in_the_least_model() {
+    // Nothing is cached, so an expired deadline trips while the least
+    // model is computed: stable and credulous report no answers, and
+    // skeptical a prefix of the least model (an under-approximation).
+    let mut kb = contested_kb(4, true, false);
+    let snap = kb.snapshot();
+    let (_, _, lm) = judge_oracle(&mut kb);
+    for threads in [1, 4] {
+        let expired = QueryOptions {
+            deadline: Some(std::time::Instant::now()),
+            ..QueryOptions::new().threads(threads)
+        };
+        let stable = snap.stable_with("judge", &expired).expect("known object");
+        assert_eq!(stable.reason(), Some(InterruptReason::Deadline));
+        assert!(stable.value().is_empty());
+        let credulous = snap
+            .credulous_with("judge", &expired)
+            .expect("known object");
+        assert_eq!(credulous.reason(), Some(InterruptReason::Deadline));
+        assert!(credulous.value().is_empty());
+        let skeptical = snap
+            .skeptical_with("judge", &expired)
+            .expect("known object");
+        assert_eq!(skeptical.reason(), Some(InterruptReason::Deadline));
+        assert!(skeptical.value().is_subset(&lm));
+    }
+}
+
+#[test]
+fn least_model_first_deadline_in_the_residual_search() {
+    // The least model is cached and the union-find pass is tiny, so a
+    // 20 ms deadline trips inside the residual search (2^24 stable
+    // models). Every partial stable model is a genuine AF model of the
+    // whole view; skeptical keeps the least model; every credulous
+    // literal is witnessed by a genuine AF model.
+    use ordered_logic::semantics::{is_assumption_free, Decomposition};
+    let mut kb = contested_kb(24, true, true);
+    let snap = kb.snapshot();
+    let (g, c, lm) = judge_oracle(&mut kb);
+    let view = View::new(&g, c);
+    // Literals of some AF model of the view: the groups are
+    // independent, so any group's AF model extends to one of the view.
+    let mut af_literals = std::collections::HashSet::new();
+    for rules in Decomposition::new(&view).groups() {
+        for m in enumerate_assumption_free_propagating(&view.restrict(rules), g.n_atoms) {
+            af_literals.extend(m.literals());
+        }
+    }
+    for threads in [1, 4] {
+        // A fresh 20 ms deadline per read.
+        let opts = || {
+            QueryOptions::new()
+                .threads(threads)
+                .timeout(std::time::Duration::from_millis(20))
+        };
+        let stable = snap.stable_with("judge", &opts()).expect("known object");
+        assert_eq!(stable.reason(), Some(InterruptReason::Deadline));
+        assert!(
+            !stable.value().is_empty(),
+            "the trip comes after the first models"
+        );
+        for m in stable.value().iter().take(64) {
+            assert!(lm.is_subset(m));
+            assert!(is_model(&view, m, g.n_atoms) && is_assumption_free(&view, m));
+        }
+        let skeptical = snap.skeptical_with("judge", &opts()).expect("known object");
+        assert_eq!(skeptical.reason(), Some(InterruptReason::Deadline));
+        assert!(lm.is_subset(skeptical.value()));
+        let credulous = snap.credulous_with("judge", &opts()).expect("known object");
+        assert_eq!(credulous.reason(), Some(InterruptReason::Deadline));
+        for l in credulous.value() {
+            assert!(
+                af_literals.contains(l),
+                "credulous literal without an AF model"
+            );
+        }
+    }
+}
+
+#[test]
+fn least_model_first_model_cap_keeps_one_genuine_model() {
+    // `max_models = 1` on a view with 16 stable models: the guided read
+    // stops with one genuine stable model, as the general engine does.
+    let mut guided = contested_kb(4, true, true);
+    let mut general = contested_kb(4, false, true);
+    let all: Vec<_> = general.stable("judge").expect("known object");
+    assert_eq!(all.len(), 16);
+    for threads in [1, 4] {
+        let capped = QueryOptions::new().threads(threads).max_models(1);
+        let snap_evals = [
+            guided
+                .snapshot()
+                .stable_with("judge", &capped)
+                .expect("known object"),
+            general
+                .snapshot()
+                .stable_with("judge", &capped)
+                .expect("known object"),
+        ];
+        let kb_evals = [
+            guided.stable_with("judge", &capped).expect("known object"),
+            general.stable_with("judge", &capped).expect("known object"),
+        ];
+        for eval in snap_evals.into_iter().chain(kb_evals) {
+            assert_eq!(eval.reason(), Some(InterruptReason::ModelCap));
+            assert_eq!(eval.value().len(), 1);
+            assert!(all.contains(&eval.value()[0]), "a genuine stable model");
         }
     }
 }

@@ -10,7 +10,11 @@
 //! guidance disabled, i.e. the general engine — and demands
 //! byte-identical renderings of the least model, the stable-model set,
 //! and the skeptical consequences of every component after every step,
-//! at 1 and 4 worker threads.
+//! at 1 and 4 worker threads — on the live KB and on a published
+//! snapshot (which adds the credulous consequences). On a guided KB the
+//! snapshot reads answer least model first, searching only the
+//! contested residual; the general KB's snapshot searches the whole
+//! view.
 //!
 //! A second property pins the cache: after any mutation stream, the
 //! per-epoch cached profile must equal a from-scratch analysis of the
@@ -20,6 +24,7 @@
 
 use olp_workload::{random_ordered, RandomCfg};
 use ordered_logic::core::CompId;
+use ordered_logic::kb::KbSnapshot;
 use ordered_logic::prelude::*;
 use proptest::prelude::*;
 
@@ -98,6 +103,34 @@ fn render_skeptical(kb: &mut Kb, obj: &str) -> String {
     kb.render(&m)
 }
 
+/// Stable models (sorted renderings), skeptical and credulous
+/// consequences of `obj`, read from `snap` at its default options.
+fn render_snapshot(snap: &KbSnapshot, obj: &str) -> (Vec<String>, String, String) {
+    let opts = snap.default_opts();
+    let mut stable: Vec<String> = snap
+        .stable_with(obj, &opts)
+        .expect("known object")
+        .expect_complete("unlimited")
+        .iter()
+        .map(|m| snap.render(m))
+        .collect();
+    stable.sort();
+    let skeptical = snap.render(
+        &snap
+            .skeptical_with(obj, &opts)
+            .expect("known object")
+            .expect_complete("unlimited"),
+    );
+    let credulous: Vec<String> = snap
+        .credulous_with(obj, &opts)
+        .expect("known object")
+        .expect_complete("unlimited")
+        .into_iter()
+        .map(|l| snap.render_glit(l))
+        .collect();
+    (stable, skeptical, credulous.join(", "))
+}
+
 fn apply(kb: &mut Kb, obj: &str, is_assert: bool, rule: &str) -> bool {
     if is_assert {
         kb.assert_rule(obj, rule).expect("assert grounds");
@@ -144,6 +177,18 @@ proptest! {
                         render_skeptical(&mut guided, &obj),
                         render_skeptical(&mut general, &obj),
                         "skeptical sets diverged in {} after step {} ({} threads)",
+                        obj, step, threads
+                    );
+                }
+                guided.warm_profiles();
+                let (guided_snap, general_snap) = (guided.snapshot(), general.snapshot());
+                for c in 0..N_COMPONENTS {
+                    let obj = format!("c{c}");
+                    prop_assert_eq!(
+                        render_snapshot(&guided_snap, &obj),
+                        render_snapshot(&general_snap, &obj),
+                        "snapshot stable/skeptical/credulous diverged in {} after step {} \
+                         ({} threads)",
                         obj, step, threads
                     );
                 }

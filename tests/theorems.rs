@@ -256,6 +256,68 @@ proptest! {
         }
     }
 
+    /// Least model first. Thm. 1b puts the least model inside every
+    /// model, an atom heading no rule is in no AF model, and every
+    /// condition of Defs. 2–9 is local to a weakly connected rule group.
+    /// So a group whose head atoms the least model all decides has
+    /// exactly one stable model — the least model restricted to the
+    /// group — and the least-model-first answers equal the oracle's.
+    #[test]
+    fn least_model_first_matches_the_oracle(seed in 0u64..10_000) {
+        use ordered_logic::semantics::{
+            interp_intersection, least_model_first, stable_models_naive, Decomposition,
+        };
+        let cfg = small_cfg(5, 9, 3);
+        let (w, p, g) = setup(seed, &cfg);
+        let sorted = |ms: &[Interpretation]| {
+            let mut v: Vec<String> = ms.iter().map(|m| m.render(&w)).collect();
+            v.sort();
+            v
+        };
+        for ci in 0..p.components.len() {
+            let c = CompId(ci as u32);
+            let v = View::new(&g, c);
+            let lm = least_model(&v);
+            for rules in Decomposition::new(&v).groups() {
+                let sub = v.restrict(rules);
+                let decided = sub.rules().all(|(_, r)| !lm.undefined(r.head.atom()));
+                if !decided {
+                    continue;
+                }
+                let mut restricted = Interpretation::new();
+                for (_, r) in sub.rules() {
+                    for a in std::iter::once(r.head.atom()).chain(r.body.iter().map(|b| b.atom())) {
+                        for l in [GLit::pos(a), GLit::neg(a)] {
+                            if lm.holds(l) {
+                                restricted.insert(l).expect("a subset of the least model");
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(
+                    stable_models_naive(&sub, g.n_atoms), vec![restricted],
+                    "uncontested group (seed {}, comp {})", seed, ci);
+            }
+            let oracle = stable_models_naive(&v, g.n_atoms);
+            let mut credulous: Vec<GLit> = oracle.iter().flat_map(|m| m.literals()).collect();
+            credulous.sort_unstable();
+            credulous.dedup();
+            for threads in [1, 2] {
+                let lf = || least_model_first(
+                    &g, c, Eval::Complete(lm.clone()), threads, None, &Budget::unlimited(), None);
+                prop_assert_eq!(
+                    sorted(&lf().stable().expect_complete("unlimited")), sorted(&oracle),
+                    "stable (seed {}, comp {}, {} threads)", seed, ci, threads);
+                prop_assert_eq!(
+                    lf().skeptical().expect_complete("unlimited"), interp_intersection(&oracle),
+                    "skeptical (seed {}, comp {}, {} threads)", seed, ci, threads);
+                prop_assert_eq!(
+                    &lf().credulous().expect_complete("unlimited"), &credulous,
+                    "credulous (seed {}, comp {}, {} threads)", seed, ci, threads);
+            }
+        }
+    }
+
     /// Explanations: every literal of the least model has a proof tree
     /// whose internal structure is sound (each node's rule is applied
     /// and unattacked, premises match the rule body); every underived
