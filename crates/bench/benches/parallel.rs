@@ -1,17 +1,13 @@
-//! Experiment B10 — the parallel evaluation pipeline: multi-threaded
-//! grounding, the stratum-wavefront least model, and the
-//! selectivity-driven join planner.
+//! Experiment B10 — the parallel grounding pipeline: multi-threaded
+//! grounding and the selectivity-driven join planner.
 //!
 //! Workload: [`olp_workload::ancestor`] over a random edge relation —
 //! one big recursive component whose semi-naive frontier batches are
-//! wide enough to shard, plus [`olp_workload::defeating_cliques`] as
-//! the many-strata shape for the wavefront. Three groups:
+//! wide enough to shard. Two groups:
 //!
 //! * `ground` — `ground_smart` at 1/2/4/8 threads (the BSP closure is
 //!   bit-deterministic, so every thread count produces the identical
 //!   program; only wall-clock changes);
-//! * `least_model` — sequential stratified engine vs the wavefront at
-//!   2/4/8 threads on the same ground view;
 //! * `planner` — grounding with the join planner on vs off at a single
 //!   thread, isolating the literal-reordering / positional-index win
 //!   from the parallelism win.
@@ -21,10 +17,9 @@
 //! `experiments` binary; this bench is the fine-grained Criterion view.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use olp_core::{CompId, World};
+use olp_core::World;
 use olp_ground::{ground_smart, GroundConfig, GroundProgram};
-use olp_semantics::{least_model_parallel, least_model_stratified, View};
-use olp_workload::{ancestor, defeating_cliques, GraphShape};
+use olp_workload::{ancestor, GraphShape};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -61,36 +56,6 @@ fn bench_parallel(c: &mut Criterion) {
             BenchmarkId::new("ground/ancestor", threads),
             &threads,
             |b, &threads| b.iter(|| black_box(ancestor_ground(threads, true))),
-        );
-    }
-
-    // Wavefront vs sequential stratified, same precomputed ground view.
-    let (_w, ga) = ancestor_ground(1, true);
-    let view = View::new(&ga, CompId(0));
-    group.bench_function(BenchmarkId::new("least_model/ancestor", "seq"), |b| {
-        b.iter(|| black_box(least_model_stratified(&view)))
-    });
-    for &threads in &[2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("least_model/ancestor/wavefront", threads),
-            &threads,
-            |b, &threads| b.iter(|| black_box(least_model_parallel(&view, threads))),
-        );
-    }
-
-    // Many independent strata: the wavefront's natural shape.
-    let mut world = World::new();
-    let prog = defeating_cliques(&mut world, 12);
-    let gd = ground_smart(&mut world, &prog, &GroundConfig::default()).expect("cliques ground");
-    let dview = View::new(&gd, CompId(0));
-    group.bench_function(BenchmarkId::new("least_model/cliques", "seq"), |b| {
-        b.iter(|| black_box(least_model_stratified(&dview)))
-    });
-    for &threads in &[2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("least_model/cliques/wavefront", threads),
-            &threads,
-            |b, &threads| b.iter(|| black_box(least_model_parallel(&dview, threads))),
         );
     }
 

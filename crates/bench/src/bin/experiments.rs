@@ -709,14 +709,15 @@ fn main() {
         }
     }
 
-    // B10: the parallel evaluation pipeline — multi-threaded grounding,
-    // the flat-arena least model with morsel-driven work stealing, and
-    // the join planner, on the scaled random-graph ancestor workload
-    // plus defeating cliques. Differential check (byte-identical ground
-    // program and identical least model at every thread count) plus
-    // three acceptance gates, emitted as BENCH_parallel.json:
+    // B10: the parallel grounding pipeline — multi-threaded grounding
+    // and the join planner, on the scaled random-graph ancestor
+    // workload, plus the single-threaded flat least model of its
+    // program. Differential check (byte-identical ground program at
+    // every grounding thread count) plus three acceptance gates,
+    // emitted as BENCH_parallel.json:
     //   * ≥2.5x end-to-end (ground + least model) at 8 threads vs 1 on
-    //     the scaled ancestor — evaluated only when the host actually
+    //     the scaled ancestor — threads drive grounding only, the least
+    //     model is sequential — evaluated only when the host actually
     //     has ≥8 cores. Thread counts exceeding the physical core count
     //     are not measured at all: oversubscribed timings say nothing
     //     about the scheduler, so no row is emitted and the gate is
@@ -729,13 +730,9 @@ fn main() {
     //     vs off), which is host-independent and always enforced.
     {
         use olp_ground::{ground_smart, GroundProgram};
-        use olp_semantics::{
-            flatten, least_model_flat, least_model_parallel, least_model_stratified,
-        };
 
         const N: usize = 220;
         const EDGES: usize = 660;
-        const CLIQUES: usize = 10;
         // PR 4's single-thread least_model_ns on the reference host
         // (BENCH_parallel.json as committed there) — the bar the flat
         // engine has to clear.
@@ -789,12 +786,14 @@ fn main() {
         let dflt = GroundConfig::default().max_instances;
         let (w1, g1) = build_ancestor(N, EDGES, 1, true, dflt);
         let ref_render = g1.render(&w1);
-        let ref_model = least_model_stratified(&View::new(&g1, CompId(0))).render(&w1);
+        // Every thread count grounds the identical program (checked
+        // below), so its least model is measured once.
+        let view1 = View::new(&g1, CompId(0));
+        let (lfp_1t, _) = best_of_3(|| least_model(&view1));
 
         let mut anc_rows = Vec::new();
         let mut e2e_1t = Duration::MAX;
         let mut e2e_8t = None;
-        let mut lfp_1t = Duration::MAX;
         for &threads in &thread_counts {
             let (t_ground, (wt, gt)) = best_of_3(|| build_ancestor(N, EDGES, threads, true, dflt));
             assert_eq!(
@@ -802,35 +801,20 @@ fn main() {
                 gt.render(&wt),
                 "parallel ground program differs at {threads} threads"
             );
-            let view = View::new(&gt, CompId(0));
-            let (t_lfp, model) = best_of_3(|| {
-                if threads == 1 {
-                    least_model_flat(&flatten(&view))
-                } else {
-                    least_model_parallel(&view, threads)
-                }
-            });
-            assert_eq!(
-                ref_model,
-                model.render(&wt),
-                "flat least model differs at {threads} threads"
-            );
-            let e2e = t_ground + t_lfp;
+            let e2e = t_ground + lfp_1t;
             if threads == 1 {
                 e2e_1t = e2e;
-                lfp_1t = t_lfp;
             }
             if threads == 8 {
                 e2e_8t = Some(e2e);
             }
             println!(
                 "B10 parallel ancestor N={N} E={EDGES} threads={threads}: \
-                 ground {t_ground:?} + lfp {t_lfp:?} = {e2e:?}, model identical"
+                 ground {t_ground:?} + lfp {lfp_1t:?} = {e2e:?}, program identical"
             );
             anc_rows.push(format!(
-                "  {{\"threads\": {threads}, \"ground_ns\": {}, \"least_model_ns\": {}, \"end_to_end_ns\": {}}}",
+                "  {{\"threads\": {threads}, \"ground_ns\": {}, \"end_to_end_ns\": {}}}",
                 t_ground.as_nanos(),
-                t_lfp.as_nanos(),
                 e2e.as_nanos(),
             ));
         }
@@ -869,37 +853,6 @@ fn main() {
             flat_gate.to_uppercase()
         );
 
-        // Many independent strata, microsecond-scale total work — the
-        // workload where PR 4's per-round barrier turned threads into a
-        // 27x slowdown. The morsel engine's sequential fallback
-        // (weight below `seq_threshold`) must keep every thread count
-        // at the single-thread cost.
-        let mut wq = World::new();
-        let pq = defeating_cliques(&mut wq, CLIQUES);
-        let gq = ground_smart(&mut wq, &pq, &GroundConfig::default()).expect("cliques ground");
-        let qview = View::new(&gq, CompId(0));
-        let clique_ref = least_model_stratified(&qview).render(&wq);
-        let mut clique_rows = Vec::new();
-        for &threads in &thread_counts {
-            let (t_lfp, model) = best_of_3(|| {
-                if threads == 1 {
-                    least_model_flat(&flatten(&qview))
-                } else {
-                    least_model_parallel(&qview, threads)
-                }
-            });
-            assert_eq!(
-                clique_ref,
-                model.render(&wq),
-                "flat least model differs on cliques at {threads} threads"
-            );
-            println!("B10 parallel cliques k={CLIQUES} threads={threads}: lfp {t_lfp:?}, model identical");
-            clique_rows.push(format!(
-                "  {{\"threads\": {threads}, \"least_model_ns\": {}}}",
-                t_lfp.as_nanos(),
-            ));
-        }
-
         // Planner ablation at one thread: selectivity-greedy join order
         // plus positional indexes vs the PR 3 baseline (textual order,
         // full candidate scans). Host-independent, always enforced.
@@ -925,8 +878,7 @@ fn main() {
             "{{\n\"host_cores\": {host_cores},\n\
              \"measured_thread_counts\": [{}],\n\
              \"flat\": true,\n\
-             \"ancestor\": {{\"n\": {N}, \"edges\": {EDGES}, \"rows\": [\n{}\n]}},\n\
-             \"defeating_cliques\": {{\"k\": {CLIQUES}, \"rows\": [\n{}\n]}},\n\
+             \"ancestor\": {{\"n\": {N}, \"edges\": {EDGES}, \"least_model_ns\": {}, \"rows\": [\n{}\n]}},\n\
              \"planner\": {{\"planned_ns\": {}, \"unplanned_ns\": {}, \"speedup\": {plan_speedup:.2}}},\n\
              \"gates\": {{\n\
              \"parallel_8t_min\": 2.5, \"parallel_8t_speedup\": {par_speedup_json}, \"parallel_8t\": \"{par_gate}\",\n\
@@ -934,10 +886,10 @@ fn main() {
              \"single_thread_speedup\": {flat_speedup:.2}, \"single_thread_vs_pr4\": \"{flat_gate}\",\n\
              \"planner_min\": 1.3, \"planner_speedup\": {plan_speedup:.2}, \"planner\": \"{plan_gate}\"\n\
              }},\n\
-             \"models_identical\": true\n}}\n",
+             \"programs_identical\": true\n}}\n",
             measured.join(", "),
+            lfp_1t.as_nanos(),
             anc_rows.join(",\n"),
-            clique_rows.join(",\n"),
             t_plan.as_nanos(),
             t_noplan.as_nanos(),
             lfp_1t.as_nanos(),

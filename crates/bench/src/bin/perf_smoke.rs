@@ -1,13 +1,16 @@
 //! Parallel-regression smoke test for CI: the scaled ancestor workload
-//! at 1 and 2 threads, asserting that going wide is never a cliff.
+//! with grounding at 1 and 2 threads, asserting that going wide is
+//! never a cliff.
 //!
-//! PR 4's stratum-wavefront made `--threads 8` 1.6x *slower* than
-//! `--threads 1` and nobody noticed until the numbers were published.
-//! This binary is the tripwire: it runs end-to-end (ground + least
-//! model) at 1 and 2 threads and **fails (exit 1) if the 2-thread run
-//! exceeds 1.15x the 1-thread time** — parallel evaluation may win or
-//! tie, it must not regress. The differential model check runs in both
-//! configurations either way.
+//! An earlier parallel least-model engine made `--threads 8` 1.6x
+//! *slower* than `--threads 1` and nobody noticed until the numbers
+//! were published. This binary is the tripwire for what threads drive
+//! on this workload today, the parallel grounder: it runs end-to-end
+//! (parallel ground + the sequential flat least model) at 1 and 2
+//! threads and **fails (exit 1) if the 2-thread run exceeds 1.15x the
+//! 1-thread time** — parallel grounding may win or tie, it must not
+//! regress. The differential model check runs in both configurations
+//! either way.
 //!
 //! On hosts with fewer than 2 physical cores the timing assertion is
 //! reported as SKIP and the exit code stays 0 (a 1-core box cannot
@@ -35,13 +38,13 @@ use olp_core::{CompId, World};
 use olp_ground::{ground_smart, GroundConfig, GroundProgram};
 use olp_kb::{GroundStrategy, Kb, KbBuilder};
 use olp_parser::parse_program;
-use olp_semantics::{flatten, least_model_flat, least_model_parallel, View};
+use olp_semantics::{least_model, View};
 use olp_workload::{ancestor, mutation_stream, taxonomy_chain, GraphShape, Mutation, MutationCfg};
 use std::time::{Duration, Instant};
 
 const N: usize = 220;
 const EDGES: usize = 660;
-/// Allowed 2-thread overhead over the 1-thread run.
+/// Allowed 2-thread (parallel grounding) overhead over the 1-thread run.
 const MAX_RATIO: f64 = 1.15;
 /// Base chain length for the mutation-path case.
 const MUT_N_BASE: usize = 128;
@@ -80,12 +83,7 @@ fn end_to_end(threads: usize) -> (Duration, String) {
     for _ in 0..3 {
         let t = Instant::now();
         let (w, g) = build(threads);
-        let view = View::new(&g, CompId(0));
-        let m = if threads == 1 {
-            least_model_flat(&flatten(&view))
-        } else {
-            least_model_parallel(&view, threads)
-        };
+        let m = least_model(&View::new(&g, CompId(0)));
         best = best.min(t.elapsed());
         model = m.render(&w);
     }
@@ -175,10 +173,14 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (t1, m1) = end_to_end(1);
     let (t2, m2) = end_to_end(2);
-    assert_eq!(m1, m2, "least model differs between 1 and 2 threads");
+    assert_eq!(
+        m1, m2,
+        "least model differs between 1- and 2-thread grounding"
+    );
     let ratio = t2.as_secs_f64() / t1.as_secs_f64().max(1e-9);
     println!(
-        "perf-smoke ancestor N={N} E={EDGES}: 1t {t1:?}, 2t {t2:?} ({ratio:.2}x), models identical"
+        "perf-smoke ancestor N={N} E={EDGES}: ground + least model with 1-thread grounding \
+         {t1:?}, 2-thread grounding {t2:?} ({ratio:.2}x), models identical"
     );
 
     // Mutation path: patched arenas vs clear+reflatten. Differential
@@ -229,16 +231,16 @@ fn main() {
     if host_cores < 2 && !force {
         println!(
             "perf-smoke: SKIP timing assertion — host has {host_cores} core(s); \
-             2-thread overhead is unmeasurable here"
+             2-thread grounding overhead is unmeasurable here"
         );
         return;
     }
     if ratio > MAX_RATIO {
         eprintln!(
             "perf-smoke: FAIL — 2 threads took {ratio:.2}x the 1-thread time \
-             (limit {MAX_RATIO}); parallel evaluation has regressed"
+             (limit {MAX_RATIO}); parallel grounding has regressed"
         );
         std::process::exit(1);
     }
-    println!("perf-smoke: PASS — 2t/1t ratio {ratio:.2} within {MAX_RATIO}");
+    println!("perf-smoke: PASS — 2t/1t grounding ratio {ratio:.2} within {MAX_RATIO}");
 }

@@ -149,83 +149,6 @@ impl BitSet {
     }
 }
 
-/// A fixed-capacity bit set with atomic word access: the shared truth
-/// state of the morsel-driven parallel fixpoint. Bits are only ever
-/// **set**, never cleared (the least-fixpoint iterates are increasing),
-/// so `Release` publication on [`AtomicBitSet::set`]/[`AtomicBitSet::or_word`]
-/// paired with `Acquire` loads on [`AtomicBitSet::contains`] gives every
-/// reader a monotone view: once a bit is observed set, it stays set.
-#[derive(Debug, Default)]
-pub struct AtomicBitSet {
-    words: Vec<std::sync::atomic::AtomicU64>,
-}
-
-impl AtomicBitSet {
-    /// Creates a zeroed set covering indices `0..n`.
-    pub fn new(n: usize) -> Self {
-        let mut words = Vec::with_capacity(n.div_ceil(64));
-        words.resize_with(n.div_ceil(64), || std::sync::atomic::AtomicU64::new(0));
-        AtomicBitSet { words }
-    }
-
-    /// Capacity in bits.
-    pub fn capacity(&self) -> usize {
-        self.words.len() * 64
-    }
-
-    /// Whether no bit can be stored (zero capacity).
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// Membership test (`Acquire`: observing a published bit also
-    /// observes everything its publisher wrote before setting it).
-    #[inline]
-    pub fn contains(&self, i: usize) -> bool {
-        let (w, m) = BitSet::loc(i);
-        self.words[w].load(std::sync::atomic::Ordering::Acquire) & m != 0
-    }
-
-    /// Sets bit `i` (`Release`).
-    #[inline]
-    pub fn set(&self, i: usize) {
-        let (w, m) = BitSet::loc(i);
-        self.words[w].fetch_or(m, std::sync::atomic::Ordering::Release);
-    }
-
-    /// ORs `word` into word slot `w` (`Release`) — the bulk-merge
-    /// primitive for publishing a whole per-worker [`BitSet`] at once.
-    #[inline]
-    pub fn or_word(&self, w: usize, word: u64) {
-        if word != 0 {
-            self.words[w].fetch_or(word, std::sync::atomic::Ordering::Release);
-        }
-    }
-
-    /// Merges a plain [`BitSet`] into this one word-by-word.
-    pub fn merge(&self, other: &BitSet) {
-        for (w, &word) in other.words.iter().enumerate() {
-            self.or_word(w, word);
-        }
-    }
-
-    /// Snapshots the current contents into a plain [`BitSet`]
-    /// (single-threaded epilogue use; not linearizable mid-run).
-    pub fn snapshot(&self) -> BitSet {
-        let mut out = BitSet::new();
-        for (w, a) in self.words.iter().enumerate() {
-            let word = a.load(std::sync::atomic::Ordering::Acquire);
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                out.insert(w * 64 + b);
-            }
-        }
-        out
-    }
-}
-
 impl FromIterator<usize> for BitSet {
     fn from_iter<T: IntoIterator<Item = usize>>(iter: T) -> Self {
         let mut s = BitSet::new();
@@ -305,37 +228,6 @@ mod tests {
         assert_eq!(a, c);
         a.remove(3);
         assert_eq!(a, BitSet::new());
-    }
-
-    #[test]
-    fn atomic_set_merge_snapshot() {
-        let a = AtomicBitSet::new(300);
-        assert!(a.capacity() >= 300);
-        a.set(0);
-        a.set(65);
-        a.set(299);
-        assert!(a.contains(65));
-        assert!(!a.contains(66));
-        let local: BitSet = [1, 65, 128].into_iter().collect();
-        a.merge(&local);
-        let snap = a.snapshot();
-        assert_eq!(snap.iter().collect::<Vec<_>>(), vec![0, 1, 65, 128, 299]);
-    }
-
-    #[test]
-    fn atomic_concurrent_publication() {
-        let a = AtomicBitSet::new(64 * 64);
-        std::thread::scope(|s| {
-            for t in 0..4usize {
-                let a = &a;
-                s.spawn(move || {
-                    for i in (t..64 * 64).step_by(4) {
-                        a.set(i);
-                    }
-                });
-            }
-        });
-        assert_eq!(a.snapshot().len(), 64 * 64);
     }
 
     #[test]

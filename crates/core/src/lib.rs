@@ -82,7 +82,7 @@ pub mod symbol;
 pub mod term;
 pub mod world;
 
-pub use bitset::{AtomicBitSet, BitSet};
+pub use bitset::BitSet;
 pub use budget::{Budget, Eval, InterruptReason, Interrupted, Ticker};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use gterm::{AtomId, AtomStore, GTerm, GTermId, GroundAtom, TermStore};

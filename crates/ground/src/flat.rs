@@ -16,9 +16,7 @@
 //! * watch lists are indexed by [`GLit::code`] — literals over atoms
 //!   `0..n` occupy codes `0..2n`, so "who watches this literal?" is an
 //!   array load, and truth state is a [`olp_core::BitSet`] indexed by
-//!   the same dense code space (one bit per signed atom);
-//! * per-stratum dependency edges (`stratum_preds`) and statistics-based
-//!   weights feed the morsel partitioner of the parallel fixpoint.
+//!   the same dense code space (one bit per signed atom).
 //!
 //! The attack structure (overrulers / defeaters per Definition 2) is
 //! recomputed here from head-atom buckets plus [`olp_core::Order`]; the
@@ -47,22 +45,6 @@ pub enum FlatPatch {
     /// dependency the surviving stratum order cannot host — and the
     /// caller must rebuild with [`FlatView::from_rules`].
     Rebuild,
-}
-
-/// A contiguous run of whole strata scheduled as one unit of parallel
-/// work. Produced by [`FlatView::morsels`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Morsel {
-    /// Flat rule range `[rule_lo, rule_hi)`.
-    pub rule_lo: u32,
-    /// End of the flat rule range (exclusive).
-    pub rule_hi: u32,
-    /// Stratum index range `[stratum_lo, stratum_hi)`.
-    pub stratum_lo: u32,
-    /// End of the stratum range (exclusive).
-    pub stratum_hi: u32,
-    /// The dependency level all contained strata share.
-    pub level: u32,
 }
 
 /// A component view compiled into dense contiguous arenas.
@@ -105,10 +87,6 @@ pub struct FlatView {
     /// Level boundaries in stratum index space (length `n_levels + 1`):
     /// level `l` spans strata `level_off[l]..level_off[l + 1]`.
     level_off: Vec<u32>,
-    /// CSR: distinct predecessor strata per stratum (strata owning
-    /// out-of-stratum body atoms of the stratum's rules).
-    pred_off: Vec<u32>,
-    preds: Vec<u32>,
     /// Flat index → global rule index into `GroundProgram::rules`.
     global: Vec<u32>,
 }
@@ -127,24 +105,40 @@ impl FlatView {
         let n = rules.len();
         let n_atoms = gp.n_atoms;
 
-        // --- Stratification: SCCs of the head→body atom graph, built
-        // as CSR in two counting passes (no per-atom allocation, no
-        // sort — Tarjan tolerates duplicate edges).
-        let mut adj_off = vec![0u32; n_atoms + 1];
+        // --- Stratification: SCCs of the head→body atom graph over
+        // the atoms the rules mention, numbered locally in first-seen
+        // order — a small sub-view of a large program (a prover's
+        // relevance cone) then costs its own size, not the atom
+        // universe's. CSR built in two counting passes (no sort —
+        // Tarjan tolerates duplicate edges).
+        let mut local_of = vec![u32::MAX; n_atoms];
+        let mut n_local = 0usize;
         for &ri in rules {
             let r = &gp.rules[ri as usize];
-            adj_off[r.head.atom().index() + 1] += r.body.len() as u32;
+            for l in std::iter::once(&r.head).chain(&r.body) {
+                let a = l.atom().index();
+                if local_of[a] == u32::MAX {
+                    local_of[a] = n_local as u32;
+                    n_local += 1;
+                }
+            }
         }
-        for v in 0..n_atoms {
+        let local = |l: GLit| local_of[l.atom().index()] as usize;
+        let mut adj_off = vec![0u32; n_local + 1];
+        for &ri in rules {
+            let r = &gp.rules[ri as usize];
+            adj_off[local(r.head) + 1] += r.body.len() as u32;
+        }
+        for v in 0..n_local {
             adj_off[v + 1] += adj_off[v];
         }
-        let mut adj_edges = vec![0u32; adj_off[n_atoms] as usize];
+        let mut adj_edges = vec![0u32; adj_off[n_local] as usize];
         let mut cursor = adj_off.clone();
         for &ri in rules {
             let r = &gp.rules[ri as usize];
-            let h = r.head.atom().index();
+            let h = local(r.head);
             for &b in &r.body {
-                adj_edges[cursor[h] as usize] = b.atom().index() as u32;
+                adj_edges[cursor[h] as usize] = local(b) as u32;
                 cursor[h] += 1;
             }
         }
@@ -159,9 +153,9 @@ impl FlatView {
         let mut se_off = vec![0u32; n_sccs + 2];
         for &ri in rules {
             let r = &gp.rules[ri as usize];
-            let s = scc_of[r.head.atom().index()];
+            let s = scc_of[local(r.head)];
             for &b in &r.body {
-                let t = scc_of[b.atom().index()];
+                let t = scc_of[local(b)];
                 if t != s {
                     debug_assert!(t < s, "Tarjan ids must be reverse-topological");
                     se_off[s as usize + 1] += 1;
@@ -175,9 +169,9 @@ impl FlatView {
         let mut se_cur = se_off.clone();
         for &ri in rules {
             let r = &gp.rules[ri as usize];
-            let s = scc_of[r.head.atom().index()];
+            let s = scc_of[local(r.head)];
             for &b in &r.body {
-                let t = scc_of[b.atom().index()];
+                let t = scc_of[local(b)];
                 if t != s {
                     se_edges[se_cur[s as usize] as usize] = t;
                     se_cur[s as usize] += 1;
@@ -218,7 +212,7 @@ impl FlatView {
         };
         let mut rank_cnt = vec![0u32; n_sccs + 2];
         for &ri in rules_asc.iter() {
-            let s = scc_of[gp.rules[ri as usize].head.atom().index()];
+            let s = scc_of[local(gp.rules[ri as usize].head)];
             rank_cnt[scc_rank[s as usize] as usize + 1] += 1;
         }
         for r in 0..n_sccs.max(1) {
@@ -227,7 +221,7 @@ impl FlatView {
         let mut order_ri = vec![0u32; n];
         let mut rank_cur = rank_cnt;
         for &ri in rules_asc.iter() {
-            let s = scc_of[gp.rules[ri as usize].head.atom().index()];
+            let s = scc_of[local(gp.rules[ri as usize].head)];
             let r = scc_rank[s as usize] as usize;
             order_ri[rank_cur[r] as usize] = ri;
             rank_cur[r] += 1;
@@ -245,7 +239,7 @@ impl FlatView {
             heads.push(r.head);
             comps.push(r.comp);
             global.push(ri);
-            rule_scc.push(scc_of[r.head.atom().index()]);
+            rule_scc.push(scc_of[local(r.head)]);
             body.extend_from_slice(&r.body);
             body_off.push(body.len() as u32);
         }
@@ -276,14 +270,6 @@ impl FlatView {
         if n == 0 {
             stratum_off = vec![0, 0];
             level_off = vec![0, 0];
-            stratum_scc = vec![0];
-        }
-
-        // SCC id → stratum index (only SCCs that own rules).
-        let n_strata = stratum_scc.len();
-        let mut stratum_of_scc = vec![u32::MAX; n_sccs.max(1)];
-        for (si, &s) in stratum_scc.iter().enumerate() {
-            stratum_of_scc[s as usize] = si as u32;
         }
 
         // --- Watch lists: CSR over literal codes (two passes). -------
@@ -375,33 +361,6 @@ impl FlatView {
             }
         }
 
-        // --- Per-stratum dependency edges (for the morsel graph). ----
-        let mut pred_off = vec![0u32; n_strata + 1];
-        let mut preds: Vec<u32> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        for si in 0..n_strata {
-            scratch.clear();
-            let (lo, hi) = (stratum_off[si] as usize, stratum_off[si + 1] as usize);
-            for f in lo..hi {
-                let s = rule_scc[f];
-                for &b in &body[body_off[f] as usize..body_off[f + 1] as usize] {
-                    let t = scc_of[b.atom().index()];
-                    if t != s {
-                        let ti = stratum_of_scc[t as usize];
-                        // Atoms with no defining rules never become
-                        // true; they impose no scheduling dependency.
-                        if ti != u32::MAX {
-                            scratch.push(ti);
-                        }
-                    }
-                }
-            }
-            scratch.sort_unstable();
-            scratch.dedup();
-            preds.extend_from_slice(&scratch);
-            pred_off[si + 1] = preds.len() as u32;
-        }
-
         FlatView {
             comp,
             n_atoms,
@@ -421,8 +380,6 @@ impl FlatView {
             vdefeat,
             stratum_off,
             level_off,
-            pred_off,
-            preds,
             global,
         }
     }
@@ -486,9 +443,8 @@ impl FlatView {
     /// bookkeeping relies on this), and watch/attack arenas are
     /// recomputed from the patched rule set. It may be *coarser* —
     /// removals can leave mergeable strata apart, and spliced rules
-    /// may add same-level cross-stratum edges — which the morsel
-    /// scheduler tolerates because it keys on [`FlatView::stratum_preds`],
-    /// not on levels. Only [`FlatView::global_index`] goes stale.
+    /// may add same-level cross-stratum edges, which sequential stratum
+    /// order tolerates. Only [`FlatView::global_index`] goes stale.
     pub fn apply_delta(&self, gp: &GroundProgram, added: &[u32], removed: &[u32]) -> FlatPatch {
         let n_old = self.len();
         if n_old == 0 {
@@ -665,8 +621,7 @@ impl FlatView {
         let mut level_off = self.level_off.clone();
         if n_tail_sccs > 0 {
             // All tail strata share one appended level; ordering
-            // among them is carried by `stratum_preds`, which is what
-            // the morsel scheduler keys on.
+            // among them is the appended stratum order.
             level_off.push(n_strata_new as u32);
         }
 
@@ -758,32 +713,6 @@ impl FlatView {
             }
         }
 
-        // --- Stratum dependency edges over the patched ownership
-        // map (tail atoms now owned by their appended strata). -----
-        for (slot, &a) in tail_atoms.iter().enumerate() {
-            stratum_of_atom[a as usize] = (n_strata_old + tail_scc_of[slot] as usize) as u32;
-        }
-        let mut pred_off = vec![0u32; n_strata_new + 1];
-        let mut preds: Vec<u32> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        for si in 0..n_strata_new {
-            scratch.clear();
-            let (lo, hi) = (stratum_off[si] as usize, stratum_off[si + 1] as usize);
-            for f in lo..hi {
-                for &b in &body[body_off[f] as usize..body_off[f + 1] as usize] {
-                    let ti = stratum_of_atom[b.atom().index()];
-                    if ti != u32::MAX && ti != si as u32 {
-                        debug_assert!(ti < si as u32, "patched strata must stay topological");
-                        scratch.push(ti);
-                    }
-                }
-            }
-            scratch.sort_unstable();
-            scratch.dedup();
-            preds.extend_from_slice(&scratch);
-            pred_off[si + 1] = preds.len() as u32;
-        }
-
         FlatPatch::Patched(FlatView {
             comp: self.comp,
             n_atoms,
@@ -803,8 +732,6 @@ impl FlatView {
             vdefeat,
             stratum_off,
             level_off,
-            pred_off,
-            preds,
             global,
         })
     }
@@ -900,13 +827,6 @@ impl FlatView {
         (self.level_off[l], self.level_off[l + 1])
     }
 
-    /// Distinct predecessor strata of stratum `s` (strata owning
-    /// out-of-stratum body atoms of its rules).
-    #[inline]
-    pub fn stratum_preds(&self, s: usize) -> &[u32] {
-        &self.preds[self.pred_off[s] as usize..self.pred_off[s + 1] as usize]
-    }
-
     /// Global index (into [`GroundProgram::rules`]) of flat rule `f`.
     ///
     /// Diagnostic only: on a view produced by [`FlatView::apply_delta`]
@@ -917,60 +837,6 @@ impl FlatView {
     #[inline]
     pub fn global_index(&self, f: FlatIdx) -> u32 {
         self.global[f as usize]
-    }
-
-    /// Evaluation weight of stratum `s`: rules plus body and attack
-    /// edges — the work its fixpoint touches. Drives size-balanced
-    /// morsel partitioning.
-    pub fn stratum_weight(&self, s: usize) -> u64 {
-        let (lo, hi) = self.stratum(s);
-        let (lo, hi) = (lo as usize, hi as usize);
-        let rules = (hi - lo) as u64;
-        let bodies = u64::from(self.body_off[hi] - self.body_off[lo]);
-        let attacks = u64::from(self.over_off[hi] - self.over_off[lo])
-            + u64::from(self.defeat_off[hi] - self.defeat_off[lo]);
-        rules + bodies + attacks
-    }
-
-    /// Partitions the strata of every level into size-balanced
-    /// [`Morsel`]s of roughly `target` weight (see
-    /// [`FlatView::stratum_weight`]): walk the level's strata in order,
-    /// cut when the accumulated weight reaches `target` or the level
-    /// ends. Morsels never split a stratum (its worklist is inherently
-    /// sequential) and never span levels (the scheduler's dependency
-    /// counting assumes a morsel's inputs are outside it).
-    ///
-    /// The returned morsels tile the flat rule range exactly: every
-    /// rule belongs to exactly one morsel (property-tested).
-    pub fn morsels(&self, target: u64) -> Vec<Morsel> {
-        let target = target.max(1);
-        let mut out = Vec::new();
-        if self.is_empty() {
-            return out;
-        }
-        for l in 0..self.n_levels() {
-            let (slo, shi) = self.level(l);
-            let mut s = slo;
-            while s < shi {
-                let start = s;
-                let mut weight = 0u64;
-                while s < shi {
-                    weight += self.stratum_weight(s as usize);
-                    s += 1;
-                    if weight >= target {
-                        break;
-                    }
-                }
-                out.push(Morsel {
-                    rule_lo: self.stratum_off[start as usize],
-                    rule_hi: self.stratum_off[s as usize],
-                    stratum_lo: start,
-                    stratum_hi: s,
-                    level: l as u32,
-                });
-            }
-        }
-        out
     }
 }
 
@@ -991,8 +857,8 @@ pub struct PredStats {
     pub distinct: Vec<usize>,
 }
 
-/// Program-level statistics: per-(pred, sign) [`PredStats`] plus the
-/// structural counts the morsel partitioner keys on.
+/// Program-level statistics: per-(pred, sign) [`PredStats`] plus
+/// structural counts.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramStats {
     /// Per-(pred, sign) statistics, sorted by (pred, sign).
@@ -1127,9 +993,6 @@ mod tests {
                     }
                 }
             }
-            for &p in fv.stratum_preds(s) {
-                assert!((p as usize) < s, "predecessor stratum not earlier");
-            }
         }
         // Levels tile the strata.
         let mut strata_seen = 0;
@@ -1173,36 +1036,18 @@ mod tests {
     }
 
     #[test]
-    fn morsels_tile_rules_exactly() {
-        let gp = chain();
-        let fv = FlatView::new(&gp, CompId(0));
-        for target in [1u64, 2, 3, 100] {
-            let ms = fv.morsels(target);
-            let mut covered = 0u32;
-            for m in &ms {
-                assert_eq!(m.rule_lo, covered, "gap or overlap at target {target}");
-                assert!(m.rule_hi > m.rule_lo || m.stratum_hi > m.stratum_lo);
-                covered = m.rule_hi;
-            }
-            assert_eq!(covered as usize, fv.len(), "morsels must cover all rules");
-        }
-        assert!(fv.morsels(1).len() >= fv.morsels(100).len());
-    }
-
-    #[test]
     fn empty_view_is_well_formed() {
         let gp = GroundProgram::new(Vec::new(), order1(), 0);
         let fv = FlatView::new(&gp, CompId(0));
         assert!(fv.is_empty());
         assert_eq!(fv.n_strata(), 1);
         assert_eq!(fv.stratum(0), (0, 0));
-        assert!(fv.morsels(8).is_empty());
     }
 
     /// Structural invariants every view — built or patched — must
     /// hold: strata tile the rules, levels tile the strata, rules
     /// sharing a head atom share a stratum, body dependencies never
-    /// point forward, `stratum_preds` is exact, watch lists agree
+    /// point forward, watch lists agree
     /// with bodies, and attack lists match a direct recomputation
     /// with exact victim transposes.
     fn check_well_formed(fv: &FlatView, gp: &GroundProgram) {
@@ -1234,20 +1079,13 @@ mod tests {
         }
         for s in 0..fv.n_strata() {
             let (lo, hi) = fv.stratum(s);
-            let mut want_preds: Vec<u32> = Vec::new();
             for f in lo..hi {
                 for &b in fv.body(f) {
                     if let Some(&t) = stratum_of_atom.get(&b.atom().index()) {
                         assert!(t <= s, "body dependency points forward");
-                        if t != s {
-                            want_preds.push(t as u32);
-                        }
                     }
                 }
             }
-            want_preds.sort_unstable();
-            want_preds.dedup();
-            assert_eq!(fv.stratum_preds(s), &want_preds[..]);
         }
         for f in 0..n {
             for &b in fv.body(f) {

@@ -69,7 +69,7 @@ pub mod universe;
 pub use delta::{DeltaGrounder, DeltaRuleId, GroundDelta};
 pub use demand::{ground_smart_for, relevant_predicates};
 pub use exhaustive::ground_exhaustive;
-pub use flat::{FlatIdx, FlatPatch, FlatView, Morsel, PredStats, ProgramStats};
+pub use flat::{FlatIdx, FlatPatch, FlatView, PredStats, ProgramStats};
 pub use program::{GroundProgram, GroundRule, RuleIdx};
 pub use smart::{ground_smart, ground_smart_seeded};
 pub use universe::{herbrand_universe, signature, GroundConfig, GroundError, Signature};

@@ -21,10 +21,9 @@ use olp_ground::{
 };
 use olp_parser::{parse_ground_literal, parse_program, parse_rule, ParseError};
 use olp_semantics::{
-    least_model_delta_flat, least_model_first, least_model_flat, least_model_flat_definite,
-    least_model_monolithic_budgeted, least_model_morsel, stable_models_decomposed_cached,
-    stable_models_monolithic_budgeted, stable_models_parallel_budgeted, GroupMemo, LeastFirst,
-    MorselCfg, View,
+    least_model_delta_flat, least_model_first, least_model_flat_budgeted,
+    least_model_flat_definite, stable_models_decomposed_cached, stable_models_parallel_budgeted,
+    GroupMemo, LeastFirst, View,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -45,19 +44,6 @@ pub fn default_threads() -> usize {
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-}
-
-/// Target morsel weight for the parallel fixpoint when none is
-/// configured explicitly: the `OLP_MORSEL` environment variable when
-/// set to a positive integer, else the engine default
-/// ([`MorselCfg::default`]). Purely a scheduling knob — results are
-/// identical at every value.
-pub fn default_morsel_weight() -> u64 {
-    std::env::var("OLP_MORSEL")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(MorselCfg::default().target_weight)
 }
 
 /// Per-object cap on memoised stable-model group entries; exceeding it
@@ -169,19 +155,12 @@ pub struct QueryOptions {
     /// Cap on the number of stable models enumerated (stable/skeptical
     /// queries only).
     pub max_models: Option<usize>,
-    /// Evaluate component-wise (SCC condensation / independent rule
-    /// groups). On by default; [`QueryOptions::no_decomp`] forces the
-    /// monolithic engines (escape hatch and differential baseline).
-    pub decomp: bool,
-    /// Worker threads for query evaluation: the morsel-driven least
-    /// model and the parallel stable enumerator. Defaults to
-    /// [`default_threads`]; `1` takes the sequential code paths exactly.
-    /// Results are identical at every value.
+    /// Worker threads for stable-model search. Threads drive grounding
+    /// (through [`GroundConfig::threads`]) and stable search only; the
+    /// least model is always sequential. Defaults to
+    /// [`default_threads`]; `1` takes the sequential code paths
+    /// exactly. Results are identical at every value.
     pub threads: usize,
-    /// Target morsel weight for the parallel fixpoint (rules plus
-    /// body/attack edges per work-stealing unit). Defaults to
-    /// [`default_morsel_weight`]; results are identical at every value.
-    pub morsel_weight: u64,
     /// Reject mutations that *introduce* new static-analysis findings
     /// ([`Kb::assert_rule_with`] / [`Kb::retract_rule_with`] return
     /// [`KbError::Rejected`] and leave the KB unchanged). Off by
@@ -195,9 +174,7 @@ impl Default for QueryOptions {
             deadline: None,
             max_steps: None,
             max_models: None,
-            decomp: true,
             threads: default_threads(),
-            morsel_weight: default_morsel_weight(),
             deny_warnings: false,
         }
     }
@@ -227,23 +204,9 @@ impl QueryOptions {
         self
     }
 
-    /// Disables component-wise evaluation for this query (runs the
-    /// monolithic fixpoint / enumeration engines instead).
-    pub fn no_decomp(mut self) -> Self {
-        self.decomp = false;
-        self
-    }
-
     /// Sets the worker-thread count (clamped to at least 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the target morsel weight for parallel evaluation (clamped
-    /// to at least 1).
-    pub fn morsel_weight(mut self, weight: u64) -> Self {
-        self.morsel_weight = weight.max(1);
         self
     }
 
@@ -408,7 +371,6 @@ impl KbBuilder {
             view_version: vec![0; n_comps],
             ast_version: vec![0; n_comps],
             threads: default_threads(),
-            morsel_weight: default_morsel_weight(),
             profiles: FxHashMap::default(),
             profile_guided: true,
         })
@@ -553,14 +515,11 @@ pub struct Kb {
     /// a function of the AST view — keying the profile cache on the
     /// ground version would leave it stale exactly there.
     ast_version: Vec<u64>,
-    /// Worker threads for **unbudgeted** query evaluation ([`Kb::model`]
-    /// and friends; budgeted calls take [`QueryOptions::threads`]).
-    /// Initialised to [`default_threads`]; results are identical at
-    /// every value.
+    /// Default worker threads for stable-model search, handed to
+    /// snapshots ([`crate::KbSnapshot::default_opts`]); budgeted calls
+    /// take [`QueryOptions::threads`]. Initialised to
+    /// [`default_threads`]; results are identical at every value.
     threads: usize,
-    /// Target morsel weight for parallel evaluation (see
-    /// [`default_morsel_weight`]).
-    morsel_weight: u64,
     /// Per-component semantic profiles ([`olp_analyze::profile`]),
     /// keyed by the **AST version** they were computed at. The profile
     /// depends only on the component's AST view and the order, and
@@ -657,56 +616,67 @@ impl Kb {
         }
     }
 
-    /// Makes `least_cache[c]` present and current (epoch == now). A
-    /// stale entry whose view version did not move is re-tagged in O(1)
-    /// (its view's rules are unchanged, so its model is still exact);
-    /// otherwise it is revalidated with [`least_model_delta_flat`] over
-    /// the maintained arena — recomputing only the strata downstream of
-    /// atoms touched since it was cached — instead of from scratch.
-    fn ensure_model(&mut self, c: CompId) {
+    /// The least model of component `c`, charged to `budget`, cached
+    /// across queries **and mutations** — the one least-model path
+    /// behind every read. A current entry is served as is; a stale
+    /// entry whose view version did not move is re-tagged in O(1) (its
+    /// view's rules are unchanged, so its model is still exact); a
+    /// stale entry whose view changed is revalidated with
+    /// [`least_model_delta_flat`] over the maintained arena —
+    /// recomputing only the strata downstream of atoms touched since it
+    /// was cached. With no entry, the arena is evaluated from scratch:
+    /// [`least_model_flat_definite`] when the profile proves the view
+    /// negation-free, else [`least_model_flat_budgeted`].
+    ///
+    /// Only a `Complete` model is cached. An `Interrupted` result
+    /// carries a **sound under-approximation** of the least model; a
+    /// stale entry whose revalidation is interrupted is kept (never
+    /// served).
+    fn model_eval(&mut self, c: CompId, budget: &Budget) -> Eval<Arc<Interpretation>> {
         let vv = self.view_version(c);
         let epoch = self.epoch;
         let stale = match self.least_cache.get_mut(&c) {
-            Some(e) if e.epoch == epoch => return,
+            Some(e) if e.epoch == epoch => return Eval::Complete(e.model.clone()),
             Some(e) if e.view_version == vv => {
                 e.epoch = epoch;
-                return;
+                return Eval::Complete(e.model.clone());
             }
             Some(e) => Some(e.epoch),
             None => None,
         };
-        let model = match stale {
+        let fv = self.flat(c);
+        let eval = match stale {
             Some(since) => {
                 let touched = self.touched_since(since);
-                let old = self.least_cache[&c].model.clone();
-                let fv = self.flat(c);
-                least_model_delta_flat(&fv, &old, &touched, &Budget::unlimited())
-                    .expect_complete("unlimited delta revalidation always completes")
+                least_model_delta_flat(&fv, &self.least_cache[&c].model, &touched, budget)
             }
-            // Fresh computations compile the flat arena view directly —
-            // no interpretive hash-map view on the hot path.
-            None if self.threads > 1 => {
-                let mut cfg = self.morsel_cfg(self.threads);
-                cfg.assume_definite = self.proved_definite(c);
-                let fv = self.flat(c);
-                least_model_morsel(&fv, &cfg, &Budget::unlimited())
-                    .expect_complete("unlimited evaluation always completes")
-            }
-            None if self.proved_definite(c) => {
-                let fv = self.flat(c);
-                least_model_flat_definite(&fv, &Budget::unlimited())
-                    .expect_complete("unlimited evaluation always completes")
-            }
-            None => least_model_flat(&self.flat(c)),
+            None if self.proved_definite(c) => least_model_flat_definite(&fv, budget),
+            None => least_model_flat_budgeted(&fv, budget),
         };
-        self.least_cache.insert(
-            c,
-            CachedModel {
-                model: Arc::new(model),
-                epoch: self.epoch,
-                view_version: vv,
-            },
-        );
+        match eval {
+            Eval::Complete(m) => {
+                let model = Arc::new(m);
+                self.least_cache.insert(
+                    c,
+                    CachedModel {
+                        model: model.clone(),
+                        epoch,
+                        view_version: vv,
+                    },
+                );
+                Eval::Complete(model)
+            }
+            Eval::Interrupted(i) => Eval::Interrupted(Interrupted {
+                reason: i.reason,
+                partial: Arc::new(i.partial),
+            }),
+        }
+    }
+
+    /// [`Kb::model_eval`] without limits.
+    fn least(&mut self, c: CompId) -> Arc<Interpretation> {
+        self.model_eval(c, &Budget::unlimited())
+            .expect_complete("unlimited evaluation always completes")
     }
 
     /// The least model of the program *in* `object`, cached across
@@ -714,7 +684,7 @@ impl Kb {
     /// not recomputed).
     pub fn model(&mut self, object: &str) -> Result<&Interpretation, KbError> {
         let c = self.comp(object)?;
-        self.ensure_model(c);
+        self.least(c);
         Ok(self.least_cache[&c].model.as_ref())
     }
 
@@ -730,75 +700,9 @@ impl Kb {
         &mut self,
         object: &str,
         opts: &QueryOptions,
-    ) -> Result<Eval<Interpretation>, KbError> {
+    ) -> Result<Eval<Arc<Interpretation>>, KbError> {
         let c = self.comp(object)?;
-        Ok(self.model_eval(c, opts, &opts.budget()))
-    }
-
-    /// [`Kb::model_with`] at component granularity, charged to `budget`
-    /// (also the least model behind the profile-guided stable,
-    /// skeptical and least-model-first paths).
-    fn model_eval(
-        &mut self,
-        c: CompId,
-        opts: &QueryOptions,
-        budget: &Budget,
-    ) -> Eval<Interpretation> {
-        let vv = self.view_version(c);
-        let epoch = self.epoch;
-        let stale = match self.least_cache.get_mut(&c) {
-            Some(e) if e.epoch == epoch => return Eval::Complete(e.model.as_ref().clone()),
-            Some(e) if e.view_version == vv => {
-                // Mutations happened, but none changed a rule visible
-                // from `c`: the cached model is exact at this epoch.
-                e.epoch = epoch;
-                return Eval::Complete(e.model.as_ref().clone());
-            }
-            Some(e) => Some(e.epoch),
-            None => None,
-        };
-        if let (Some(since), true) = (stale, opts.decomp) {
-            let touched = self.touched_since(since);
-            let old = self.least_cache[&c].model.clone();
-            let fv = self.flat(c);
-            let eval = least_model_delta_flat(&fv, &old, &touched, budget);
-            if let Eval::Complete(m) = &eval {
-                let model = Arc::new(m.clone());
-                self.least_cache.insert(
-                    c,
-                    CachedModel {
-                        model,
-                        epoch: self.epoch,
-                        view_version: vv,
-                    },
-                );
-            }
-            return eval;
-        }
-        let eval = if !opts.decomp {
-            let view = View::new(&self.ground, c);
-            least_model_monolithic_budgeted(&view, budget)
-        } else {
-            let mut cfg = self.morsel_cfg(opts.threads);
-            cfg.target_weight = opts.morsel_weight.max(1);
-            cfg.assume_definite = self.proved_definite(c);
-            let fv = self.flat(c);
-            // `threads <= 1` (and small programs) run the sequential
-            // flat path inside `least_model_morsel` verbatim.
-            least_model_morsel(&fv, &cfg, budget)
-        };
-        if let Eval::Complete(m) = &eval {
-            let model = Arc::new(m.clone());
-            self.least_cache.insert(
-                c,
-                CachedModel {
-                    model,
-                    epoch: self.epoch,
-                    view_version: vv,
-                },
-            );
-        }
-        eval
+        Ok(self.model_eval(c, &opts.budget()))
     }
 
     /// Truth of a ground literal (e.g. `"fly(penguin)"` or
@@ -866,8 +770,7 @@ impl Kb {
             None => return Ok(Vec::new()),
         };
         let c = self.comp(object)?;
-        self.ensure_model(c);
-        let m = &self.least_cache[&c].model;
+        let m = self.least(c);
         let mut out: Vec<String> = self
             .world
             .atoms
@@ -889,8 +792,8 @@ impl Kb {
         let lit = olp_parser::parse_literal(Arc::make_mut(&mut self.world), pattern)
             .map_err(KbError::Parse)?;
         let c = self.comp(object)?;
-        self.ensure_model(c);
-        Ok(self.enumerate_bindings(&lit, &self.least_cache[&c].model))
+        let m = self.least(c);
+        Ok(self.enumerate_bindings(&lit, &m))
     }
 
     /// [`Kb::query`] under [`QueryOptions`] limits. On a partial
@@ -943,10 +846,9 @@ impl Kb {
         let lit = parse_ground_literal(Arc::make_mut(&mut self.world), query)
             .map_err(|_| KbError::NonGroundQuery(query.to_string()))?;
         let c = self.comp(object)?;
-        self.ensure_model(c);
-        let m = &self.least_cache[&c].model;
+        let m = self.least(c);
         let view = View::new(&self.ground, c);
-        let why = olp_semantics::explain_in(&view, m, lit);
+        let why = olp_semantics::explain_in(&view, &m, lit);
         Ok(olp_semantics::render_why(&self.world, &view, &why))
     }
 
@@ -983,37 +885,18 @@ impl Kb {
         self.epoch
     }
 
-    /// Worker threads used by unbudgeted query evaluation.
+    /// Default worker threads for stable-model search in the snapshots
+    /// this KB publishes ([`crate::KbSnapshot::default_opts`]).
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Sets the worker-thread count for unbudgeted query evaluation
-    /// (clamped to at least 1). `1` takes the sequential code paths
-    /// exactly; any value yields identical answers.
+    /// Sets the default worker-thread count for stable-model search in
+    /// published snapshots (clamped to at least 1). `1` takes the
+    /// sequential code paths exactly; any value yields identical
+    /// answers.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// Target morsel weight used by parallel query evaluation.
-    pub fn morsel_weight(&self) -> u64 {
-        self.morsel_weight
-    }
-
-    /// Sets the target morsel weight for parallel query evaluation
-    /// (clamped to at least 1). Purely a scheduling knob; any value
-    /// yields identical answers.
-    pub fn set_morsel_weight(&mut self, weight: u64) {
-        self.morsel_weight = weight.max(1);
-    }
-
-    /// The morsel configuration for a `threads`-wide evaluation.
-    fn morsel_cfg(&self, threads: usize) -> MorselCfg {
-        MorselCfg {
-            threads,
-            target_weight: self.morsel_weight,
-            ..MorselCfg::default()
-        }
     }
 
     /// The semantic profile of `object`'s view — stratification class,
@@ -1377,13 +1260,13 @@ impl Kb {
 
     /// [`Kb::skeptical`] under [`QueryOptions`] limits.
     ///
-    /// Engine choice, on a decomposed (default) query of a
-    /// profile-guided KB: a view the profile proves single-model answers
-    /// with its least model; any other view answers least model first
-    /// ([`least_model_first`]) — the least model joined with the
-    /// intersection of the stable models of the contested residual, the
-    /// only part searched. With [`Kb::set_profile_guided`]`(false)` or
-    /// `no_decomp`, the general engine searches the whole view.
+    /// Engine choice, on a profile-guided KB (the default): a view the
+    /// profile proves single-model answers with its least model; any
+    /// other view answers least model first ([`least_model_first`]) —
+    /// the least model joined with the intersection of the stable
+    /// models of the contested residual, the only part searched. With
+    /// [`Kb::set_profile_guided`]`(false)`, the general engine searches
+    /// the whole view.
     ///
     /// **Caveat:** a partial skeptical set that intersects some but not
     /// all stable models may *over*-approximate (contain literals a
@@ -1399,10 +1282,10 @@ impl Kb {
         opts: &QueryOptions,
     ) -> Result<Eval<Interpretation>, KbError> {
         let c = self.comp(object)?;
-        if opts.decomp && self.proved_single_model(c) {
-            return Ok(self.model_eval(c, opts, &opts.budget()));
+        if self.proved_single_model(c) {
+            return Ok(self.model_eval(c, &opts.budget()).map(Arc::unwrap_or_clone));
         }
-        if opts.decomp && self.profile_guided {
+        if self.profile_guided {
             return Ok(self.least_first(c, opts, &opts.budget()).skeptical());
         }
         Ok(olp_semantics::skeptical_consequences_budgeted(
@@ -1427,8 +1310,7 @@ impl Kb {
     /// [`Kb::stable`] under [`QueryOptions`] limits (including
     /// `max_models`).
     ///
-    /// Engine choice, on a decomposed (default) query of a
-    /// profile-guided KB:
+    /// Engine choice, on a profile-guided KB (the default):
     /// * a view the profile proves single-model answers with its least
     ///   model — one fixpoint instead of assumption-set enumeration plus
     ///   maximality filtering (unless `max_models` is below 2, which
@@ -1439,9 +1321,9 @@ impl Kb {
     ///   through the per-group memo at one thread, in parallel on more —
     ///   and each residual stable model is joined with the least model.
     ///
-    /// With [`Kb::set_profile_guided`]`(false)` or `no_decomp`, the
-    /// general engine searches the whole view: the differential
-    /// baseline the fast-path proptests compare against.
+    /// With [`Kb::set_profile_guided`]`(false)`, the general engine
+    /// searches the whole view: the differential baseline the fast-path
+    /// proptests compare against.
     ///
     /// Every model in a partial result is a genuine assumption-free
     /// model, maximal among those explored; models the search had not
@@ -1453,10 +1335,9 @@ impl Kb {
         opts: &QueryOptions,
     ) -> Result<Eval<Vec<Interpretation>>, KbError> {
         let c = self.comp(object)?;
-        if opts.decomp && opts.max_models.is_none_or(|cap| cap >= 2) && self.proved_single_model(c)
-        {
-            return Ok(match self.model_eval(c, opts, &opts.budget()) {
-                Eval::Complete(m) => Eval::Complete(vec![m]),
+        if opts.max_models.is_none_or(|cap| cap >= 2) && self.proved_single_model(c) {
+            return Ok(match self.model_eval(c, &opts.budget()) {
+                Eval::Complete(m) => Eval::Complete(vec![Arc::unwrap_or_clone(m)]),
                 // A partial least model is not a stable model: report
                 // the interruption with no models, like a search that
                 // tripped before its first complete model.
@@ -1466,14 +1347,7 @@ impl Kb {
                 }),
             });
         }
-        Ok(if !opts.decomp {
-            stable_models_monolithic_budgeted(
-                &View::new(&self.ground, c),
-                self.ground.n_atoms,
-                &opts.budget(),
-                opts.max_models,
-            )
-        } else if opts.threads > 1 && !self.profile_guided {
+        Ok(if opts.threads > 1 && !self.profile_guided {
             // Parallel enumeration explores independent rule groups (or
             // propagated search prefixes) on worker threads and yields
             // the same stable set as the sequential engine. This path
@@ -1538,7 +1412,7 @@ impl Kb {
     /// the contested residual only — through the per-group memo at one
     /// thread — all charged to `budget`.
     fn least_first(&mut self, c: CompId, opts: &QueryOptions, budget: &Budget) -> LeastFirst {
-        let least = self.model_eval(c, opts, budget);
+        let least = self.model_eval(c, budget).map(Arc::unwrap_or_clone);
         let cache = self.stable_cache.entry(c).or_default();
         let lf = least_model_first(
             &self.ground,
@@ -1586,26 +1460,18 @@ impl Kb {
     }
 
     /// Renders the evaluation plan for one object: the flat ground
-    /// representation (strata, levels, and the morsels the parallel
-    /// fixpoint would schedule at the configured weight) followed by
-    /// the per-predicate cardinality/distinct statistics that drive
+    /// representation (rules, strata, levels) followed by the
+    /// per-predicate cardinality/distinct statistics that drive
     /// the join planner's body ordering. Purely diagnostic — computing
     /// the report never evaluates a model.
     pub fn plan_report(&self, object: &str) -> Result<String, KbError> {
         let c = self.comp(object)?;
         let fv = FlatView::new(&self.ground, c);
-        let morsels = fv.morsels(self.morsel_weight);
         let mut out = format!(
-            "plan for `{object}`: {} ground rules in {} strata over {} levels\n\
-             schedule: {} morsel{} @ target weight {}, {} thread{}\n",
+            "plan for `{object}`: {} ground rules in {} strata over {} levels\n",
             fv.len(),
             fv.n_strata(),
             fv.n_levels(),
-            morsels.len(),
-            if morsels.len() == 1 { "" } else { "s" },
-            self.morsel_weight,
-            self.threads,
-            if self.threads == 1 { "" } else { "s" },
         );
         out.push_str(&ProgramStats::collect(&self.world, &self.ground, c).render(&self.world));
         Ok(out)
@@ -1670,7 +1536,6 @@ impl Kb {
             self.ground.clone(),
             self.epoch,
             self.threads,
-            self.morsel_weight,
             self.profile_guided,
             self.flat_cache.clone(),
             models,
@@ -1697,7 +1562,7 @@ impl Kb {
     pub fn revalidate_cached_models(&mut self) {
         let comps: Vec<CompId> = self.least_cache.keys().copied().collect();
         for c in comps {
-            self.ensure_model(c);
+            self.least(c);
         }
     }
 
@@ -1755,7 +1620,6 @@ impl Kb {
             view_version: vec![0; n_comps],
             ast_version: vec![0; n_comps],
             threads: default_threads(),
-            morsel_weight: default_morsel_weight(),
             profiles: FxHashMap::default(),
             profile_guided: true,
         }
@@ -2027,29 +1891,23 @@ mod tests {
     }
 
     #[test]
-    fn no_decomp_matches_default_engines() {
-        // Two fresh KBs so the least-model cache can't mask the engine
-        // choice.
-        let mut mono = penguin_kb(GroundStrategy::Smart);
-        let mut dec = penguin_kb(GroundStrategy::Smart);
-        let m_mono = mono
-            .model_with("penguin_view", &QueryOptions::new().no_decomp())
-            .unwrap();
-        let m_dec = dec
-            .model_with("penguin_view", &QueryOptions::new())
-            .unwrap();
-        assert!(m_mono.is_complete() && m_dec.is_complete());
-        assert_eq!(m_mono.value(), m_dec.value());
-        let st_mono = mono
-            .stable_with("penguin_view", &QueryOptions::new().no_decomp())
-            .unwrap();
-        let st_dec = dec
+    fn default_engines_match_the_oracle() {
+        let mut kb = penguin_kb(GroundStrategy::Smart);
+        let c = kb.comp("penguin_view").unwrap();
+        let view = View::new(kb.ground_program(), c);
+        let naive = olp_semantics::least_model_naive(&view);
+        let mut naive_stable = olp_semantics::stable_models_naive(&view, kb.ground.n_atoms);
+        let m = kb.model_with("penguin_view", &QueryOptions::new()).unwrap();
+        assert!(m.is_complete());
+        assert_eq!(m.value().as_ref(), &naive);
+        let mut st = kb
             .stable_with("penguin_view", &QueryOptions::new())
-            .unwrap();
-        assert_eq!(st_mono.value().len(), st_dec.value().len());
-        for m in st_mono.value() {
-            assert!(st_dec.value().contains(m));
-        }
+            .unwrap()
+            .into_value();
+        let key = |m: &Interpretation| m.render(&kb.world);
+        st.sort_by_key(key);
+        naive_stable.sort_by_key(key);
+        assert_eq!(st, naive_stable);
     }
 
     #[test]

@@ -36,9 +36,7 @@ pub mod relation;
 pub mod snapshot;
 
 pub use durable::{DurableKb, RecoveryReport};
-pub use kb::{
-    default_morsel_weight, default_threads, GroundStrategy, Kb, KbBuilder, KbError, QueryOptions,
-};
+pub use kb::{default_threads, GroundStrategy, Kb, KbBuilder, KbError, QueryOptions};
 pub use olp_core::{Budget, Eval, InterruptReason, Interrupted};
 pub use olp_store::{Durability, StoreError};
 pub use relation::{ArityMismatch, Relation};

@@ -26,7 +26,7 @@
 //! [`AtomStore::get_id`]: olp_core::AtomStore::get_id
 
 use crate::kb::{KbError, QueryOptions};
-use olp_analyze::ComponentProfile;
+use olp_analyze::{ComponentProfile, StratClass};
 use olp_core::{
     Budget, CompId, Eval, FxHashMap, GLit, GTerm, GTermId, Interpretation, Interrupted, Literal,
     Sym, Term, Truth, World,
@@ -34,10 +34,9 @@ use olp_core::{
 use olp_ground::{FlatView, GroundProgram};
 use olp_parser::{parse_ground_literal, parse_literal};
 use olp_semantics::{
-    credulous_consequences_budgeted, least_model_first, least_model_monolithic_budgeted,
-    least_model_morsel, skeptical_consequences_budgeted, stable_models_decomposed_budgeted,
-    stable_models_monolithic_budgeted, stable_models_parallel_budgeted, LeastFirst, MorselCfg,
-    View,
+    credulous_consequences_budgeted, least_model_first, least_model_flat_budgeted,
+    least_model_flat_definite, skeptical_consequences_budgeted, stable_models_decomposed_budgeted,
+    stable_models_parallel_budgeted, LeastFirst, View,
 };
 use std::sync::{Arc, Mutex};
 
@@ -55,7 +54,6 @@ pub struct KbSnapshot {
     ground: Arc<GroundProgram>,
     epoch: u64,
     threads: usize,
-    morsel_weight: u64,
     /// The publishing KB's [`crate::Kb::profile_guided`] bit: whether
     /// stable, skeptical and credulous reads answer least model first.
     profile_guided: bool,
@@ -82,7 +80,6 @@ impl KbSnapshot {
         ground: Arc<GroundProgram>,
         epoch: u64,
         threads: usize,
-        morsel_weight: u64,
         profile_guided: bool,
         flat: FxHashMap<CompId, Arc<FlatView>>,
         models: FxHashMap<CompId, Arc<Interpretation>>,
@@ -94,7 +91,6 @@ impl KbSnapshot {
             ground,
             epoch,
             threads,
-            morsel_weight,
             profile_guided,
             flat: Mutex::new(flat),
             models: Mutex::new(models),
@@ -130,12 +126,10 @@ impl KbSnapshot {
         self.epoch
     }
 
-    /// Query options with this snapshot's default thread count and
-    /// morsel weight (inherited from the publishing KB).
+    /// Query options with this snapshot's default thread count
+    /// (inherited from the publishing KB).
     pub fn default_opts(&self) -> QueryOptions {
-        QueryOptions::new()
-            .threads(self.threads)
-            .morsel_weight(self.morsel_weight)
+        QueryOptions::new().threads(self.threads)
     }
 
     /// The names of all objects, in declaration order.
@@ -199,30 +193,24 @@ impl KbSnapshot {
             .clone()
     }
 
-    /// The least model of component `c` under `opts`, charged to
-    /// `budget`, memoised on completion. Mirrors
-    /// [`crate::Kb::model_with`]'s fresh-computation paths; every engine
-    /// returns identical answers, so which one runs is invisible in the
-    /// result.
-    fn model_eval(
-        &self,
-        c: CompId,
-        opts: &QueryOptions,
-        budget: &Budget,
-    ) -> Eval<Arc<Interpretation>> {
+    /// The least model of component `c`, charged to `budget`, memoised
+    /// on completion. Mirrors [`crate::Kb::model_with`]'s
+    /// fresh-computation path: [`least_model_flat_definite`] when the
+    /// frozen profile proves the view negation-free, else
+    /// [`least_model_flat_budgeted`].
+    fn model_eval(&self, c: CompId, budget: &Budget) -> Eval<Arc<Interpretation>> {
         if let Some(m) = self.models.lock().expect("model cache poisoned").get(&c) {
             return Eval::Complete(m.clone());
         }
-        let eval = if !opts.decomp {
-            least_model_monolithic_budgeted(&View::new(&self.ground, c), budget)
+        let fv = self.flat(c);
+        let definite = self
+            .profiles
+            .get(&c)
+            .is_some_and(|p| p.strat == StratClass::NegationFree);
+        let eval = if definite {
+            least_model_flat_definite(&fv, budget)
         } else {
-            let fv = self.flat(c);
-            let cfg = MorselCfg {
-                threads: opts.threads,
-                target_weight: opts.morsel_weight.max(1),
-                ..MorselCfg::default()
-            };
-            least_model_morsel(&fv, &cfg, budget)
+            least_model_flat_budgeted(&fv, budget)
         };
         match eval {
             Eval::Complete(m) => {
@@ -250,7 +238,7 @@ impl KbSnapshot {
         opts: &QueryOptions,
     ) -> Result<Eval<Arc<Interpretation>>, KbError> {
         let c = self.comp(object)?;
-        Ok(self.model_eval(c, opts, &opts.budget()))
+        Ok(self.model_eval(c, &opts.budget()))
     }
 
     /// Truth of a ground literal in `object`'s least model under
@@ -266,7 +254,7 @@ impl KbSnapshot {
     ) -> Result<Eval<Truth>, KbError> {
         let c = self.comp(object)?;
         let lit = self.resolve_ground(query)?;
-        Ok(self.model_eval(c, opts, &opts.budget()).map(|m| match lit {
+        Ok(self.model_eval(c, &opts.budget()).map(|m| match lit {
             None => Truth::Undefined,
             Some(l) => {
                 if m.holds(l) {
@@ -295,7 +283,7 @@ impl KbSnapshot {
         let lit = parse_literal(&mut scratch, pattern).map_err(KbError::Parse)?;
         let c = self.comp(object)?;
         Ok(self
-            .model_eval(c, opts, &opts.budget())
+            .model_eval(c, &opts.budget())
             .map(|m| self.enumerate_bindings(&scratch, &lit, &m)))
     }
 
@@ -304,9 +292,7 @@ impl KbSnapshot {
     /// of the contested residual only, all charged to one budget.
     fn least_first(&self, c: CompId, opts: &QueryOptions) -> LeastFirst {
         let budget = opts.budget();
-        let least = self
-            .model_eval(c, opts, &budget)
-            .map(|m| m.as_ref().clone());
+        let least = self.model_eval(c, &budget).map(|m| m.as_ref().clone());
         least_model_first(
             &self.ground,
             c,
@@ -318,29 +304,28 @@ impl KbSnapshot {
         )
     }
 
-    /// Whether a decomposed read of `c` takes the single-model fast
-    /// path: its frozen profile (only a guided KB hands profiles over)
-    /// proves the view single-model.
-    fn proved_single_model(&self, c: CompId, opts: &QueryOptions) -> bool {
-        opts.decomp && self.profiles.get(&c).is_some_and(|p| p.single_model)
+    /// Whether a read of `c` takes the single-model fast path: its
+    /// frozen profile (only a guided KB hands profiles over) proves the
+    /// view single-model.
+    fn proved_single_model(&self, c: CompId) -> bool {
+        self.profiles.get(&c).is_some_and(|p| p.single_model)
     }
 
     /// The stable models of the program in `object` under `opts`
     /// (including `max_models`). Engine choice mirrors
     /// [`crate::Kb::stable_with`] minus the mutable per-group memo: on a
-    /// guided, decomposed read a view the frozen profile proves
-    /// single-model answers from the least model, and any other view
-    /// searches only its contested residual ([`least_model_first`]);
-    /// `no_decomp` or an unguided KB runs the general engine on the
-    /// whole view.
+    /// guided read a view the frozen profile proves single-model answers
+    /// from the least model, and any other view searches only its
+    /// contested residual ([`least_model_first`]); an unguided KB runs
+    /// the general engine on the whole view.
     pub fn stable_with(
         &self,
         object: &str,
         opts: &QueryOptions,
     ) -> Result<Eval<Vec<Interpretation>>, KbError> {
         let c = self.comp(object)?;
-        if opts.max_models.is_none_or(|cap| cap >= 2) && self.proved_single_model(c, opts) {
-            return Ok(match self.model_eval(c, opts, &opts.budget()) {
+        if opts.max_models.is_none_or(|cap| cap >= 2) && self.proved_single_model(c) {
+            return Ok(match self.model_eval(c, &opts.budget()) {
                 Eval::Complete(m) => Eval::Complete(vec![m.as_ref().clone()]),
                 Eval::Interrupted(i) => Eval::Interrupted(Interrupted {
                     reason: i.reason,
@@ -348,17 +333,10 @@ impl KbSnapshot {
                 }),
             });
         }
-        if opts.decomp && self.profile_guided {
+        if self.profile_guided {
             return Ok(self.least_first(c, opts).stable());
         }
-        Ok(if !opts.decomp {
-            stable_models_monolithic_budgeted(
-                &View::new(&self.ground, c),
-                self.ground.n_atoms,
-                &opts.budget(),
-                opts.max_models,
-            )
-        } else if opts.threads > 1 {
+        Ok(if opts.threads > 1 {
             stable_models_parallel_budgeted(
                 &View::new(&self.ground, c),
                 self.ground.n_atoms,
@@ -385,14 +363,14 @@ impl KbSnapshot {
         opts: &QueryOptions,
     ) -> Result<Eval<Interpretation>, KbError> {
         let c = self.comp(object)?;
-        if self.proved_single_model(c, opts) {
+        if self.proved_single_model(c) {
             // One stable model: the skeptical consequences are the
             // least model (partial results under-approximate here).
             return Ok(self
-                .model_eval(c, opts, &opts.budget())
+                .model_eval(c, &opts.budget())
                 .map(|m| m.as_ref().clone()));
         }
-        if opts.decomp && self.profile_guided {
+        if self.profile_guided {
             return Ok(self.least_first(c, opts).skeptical());
         }
         Ok(skeptical_consequences_budgeted(
@@ -403,8 +381,8 @@ impl KbSnapshot {
     }
 
     /// The credulous consequences in `object` (true in some stable
-    /// model) under `opts`, as a sorted literal list. A guided,
-    /// decomposed read searches only the contested residual
+    /// model) under `opts`, as a sorted literal list. A guided read
+    /// searches only the contested residual
     /// ([`LeastFirst::credulous`]; a partial result is empty when the
     /// least model itself was interrupted); otherwise the general
     /// engine ([`credulous_consequences_budgeted`]) runs on the whole
@@ -415,7 +393,7 @@ impl KbSnapshot {
         opts: &QueryOptions,
     ) -> Result<Eval<Vec<GLit>>, KbError> {
         let c = self.comp(object)?;
-        if opts.decomp && self.profile_guided {
+        if self.profile_guided {
             return Ok(self.least_first(c, opts).credulous());
         }
         Ok(credulous_consequences_budgeted(
@@ -442,7 +420,7 @@ impl KbSnapshot {
                 self.epoch
             )));
         };
-        Ok(self.model_eval(c, opts, &opts.budget()).map(|m| {
+        Ok(self.model_eval(c, &opts.budget()).map(|m| {
             let view = View::new(&self.ground, c);
             let why = olp_semantics::explain_in(&view, &m, lit);
             olp_semantics::render_why(&self.world, &view, &why)

@@ -7,20 +7,16 @@
 //! only ever weaken), so the least fixpoint exists and equals the limit
 //! of `V^k(∅)`.
 //!
-//! Three engines:
+//! Two engines:
 //! * [`v_step`] / [`least_model_naive`] — a literal transcription of the
-//!   definition: full passes until nothing changes. Reference + ablation
-//!   baseline.
-//! * [`least_model_monolithic`] — incremental worklist engine: per-rule
-//!   counters of unsatisfied body literals and of still-active
-//!   (non-blocked) overrulers/defeaters; deriving a literal decrements
-//!   counters via the view's body index and transposed attack lists.
-//!   Each rule/literal is touched O(1) times per edge, so the fixpoint
-//!   is linear in the size of the ground view.
-//! * [`least_model`] — the default: the same worklist run
-//!   stratum-by-stratum over the SCC condensation of the dependency
-//!   graph ([`crate::decomp`]), which confines counters and queue to one
-//!   stratum at a time.
+//!   definition: full passes until nothing changes. The oracle every
+//!   fast path is differentially tested against.
+//! * [`least_model`] — the production engine: the view compiled into
+//!   flat arenas ([`crate::flat_eval`]) and evaluated by a semi-naive
+//!   worklist stratum by stratum, with per-rule counters of
+//!   unsatisfied body literals and of still-active (non-blocked)
+//!   overrulers/defeaters. Each rule/literal is touched O(1) times per
+//!   edge, so the fixpoint is linear in the size of the ground view.
 
 use crate::view::View;
 use olp_core::{Budget, Eval, Interpretation, Interrupted};
@@ -74,7 +70,7 @@ pub fn least_model_naive_budgeted(view: &View, budget: &Budget) -> Eval<Interpre
     }
 }
 
-/// Least fixpoint of `V_{P,C}` by incremental worklist iteration.
+/// Least fixpoint of `V_{P,C}` by semi-naive worklist iteration.
 ///
 /// By Theorem 1(b) this is the **least model** of the program in the
 /// component, the intersection of all models, and is assumption-free.
@@ -82,10 +78,7 @@ pub fn least_model_naive_budgeted(view: &View, budget: &Budget) -> Eval<Interpre
 /// Evaluation compiles the view into the **flat arena representation**
 /// ([`olp_ground::flat`]) and runs the stratified worklist over dense
 /// bitset truth state ([`crate::flat_eval`]) — no hashing in the inner
-/// loop. Use [`crate::decomp::least_model_stratified`] for the
-/// interpretive stratified engine or [`least_model_monolithic`] to also
-/// skip the condensation (the `--no-decomp` escape hatch); all three
-/// are differentially tested against each other.
+/// loop. Differentially tested against [`least_model_naive`].
 pub fn least_model(view: &View) -> Interpretation {
     crate::flat_eval::least_model_flat(&crate::flat_eval::flatten(view))
 }
@@ -97,171 +90,6 @@ pub fn least_model(view: &View) -> Interpretation {
 /// the unbudgeted least model.
 pub fn least_model_budgeted(view: &View, budget: &Budget) -> Eval<Interpretation> {
     crate::flat_eval::least_model_flat_budgeted(&crate::flat_eval::flatten(view), budget)
-}
-
-/// [`least_model`] with the morsel-driven work-stealing scheduler
-/// ([`crate::flat_eval::least_model_morsel`]): size-balanced runs of
-/// strata are scheduled over `threads` workers with per-worker deques
-/// and no global round barrier. The result is byte-identical to
-/// [`least_model`] for every thread count; `threads <= 1` and small
-/// programs take the sequential flat path verbatim.
-pub fn least_model_parallel(view: &View, threads: usize) -> Interpretation {
-    least_model_parallel_budgeted(view, threads, &Budget::unlimited()).into_value()
-}
-
-/// [`least_model_parallel`] under a [`Budget`].
-///
-/// Same anytime contract as [`least_model_budgeted`]: the partial
-/// result is the union of every published morsel plus monotone
-/// prefixes of the morsels in flight — always a subset of the
-/// unbudgeted least model. Step accounting stays exact at morsel
-/// boundaries (each morsel runs under its own refunding ticker).
-pub fn least_model_parallel_budgeted(
-    view: &View,
-    threads: usize,
-    budget: &Budget,
-) -> Eval<Interpretation> {
-    let fv = crate::flat_eval::flatten(view);
-    let cfg = crate::flat_eval::MorselCfg::with_threads(threads);
-    crate::flat_eval::least_model_morsel(&fv, &cfg, budget)
-}
-
-/// Least fixpoint of `V_{P,C}` by a single monolithic worklist, without
-/// the stratified decomposition. Kept as the `--no-decomp` escape hatch
-/// and the differential-testing baseline for [`least_model`].
-pub fn least_model_monolithic(view: &View) -> Interpretation {
-    least_model_impl(view, None, &Budget::unlimited()).into_value()
-}
-
-/// [`least_model_monolithic`] under a [`Budget`].
-///
-/// On interruption the partial result contains only literals already
-/// derived by fired rules, i.e. a prefix of the monotone worklist
-/// closure — always a subset of the unbudgeted least model.
-pub fn least_model_monolithic_budgeted(view: &View, budget: &Budget) -> Eval<Interpretation> {
-    least_model_impl(view, None, budget)
-}
-
-/// [`least_model`] restricted to the rules where `mask` is `true` —
-/// rules outside the mask neither fire nor attack. Used by the
-/// goal-directed prover ([`crate::prove::prove`]), which guarantees the mask
-/// is closed under derivation/blocking/attack dependencies.
-pub fn least_model_restricted(view: &View, mask: &[bool]) -> Interpretation {
-    least_model_impl(view, Some(mask), &Budget::unlimited()).into_value()
-}
-
-/// [`least_model_restricted`] under a [`Budget`] (same partial-result
-/// guarantee as [`least_model_budgeted`], relative to the masked
-/// program).
-pub fn least_model_restricted_budgeted(
-    view: &View,
-    mask: &[bool],
-    budget: &Budget,
-) -> Eval<Interpretation> {
-    least_model_impl(view, Some(mask), budget)
-}
-
-fn least_model_impl(view: &View, mask: Option<&[bool]>, budget: &Budget) -> Eval<Interpretation> {
-    let n = view.len();
-    let enabled = |li: u32| mask.is_none_or(|m| m[li as usize]);
-    let mut unsat = vec![0u32; n];
-    let mut over = vec![0u32; n];
-    let mut defeat = vec![0u32; n];
-    let mut blocked = vec![false; n];
-    let mut fired = vec![false; n];
-
-    for (li, r) in view.rules() {
-        unsat[li as usize] = r.body.len() as u32;
-        over[li as usize] = view.overrulers(li).iter().filter(|&&a| enabled(a)).count() as u32;
-        defeat[li as usize] = view.defeaters(li).iter().filter(|&&a| enabled(a)).count() as u32;
-    }
-
-    let mut i = Interpretation::new();
-    let mut queue: Vec<olp_core::GLit> = Vec::new();
-    let mut interrupted = None;
-    let mut ticker = budget.ticker();
-
-    // Seed: rules with empty bodies and no attackers at all.
-    for (li, r) in view.rules() {
-        if let Err(reason) = ticker.tick() {
-            interrupted = Some(reason);
-            break;
-        }
-        let l = li as usize;
-        if enabled(li) && unsat[l] == 0 && over[l] == 0 && defeat[l] == 0 && !fired[l] {
-            fired[l] = true;
-            if i.insert(r.head).expect("V preserves consistency") {
-                queue.push(r.head);
-            }
-        }
-    }
-
-    'work: while interrupted.is_none() {
-        let Some(lit) = queue.pop() else { break };
-        if let Err(reason) = ticker.tick() {
-            interrupted = Some(reason);
-            break 'work;
-        }
-        // 1. Body satisfaction: rules with `lit` in the body get closer
-        //    to applicability.
-        for &li in view.rules_with_body_lit(lit) {
-            let l = li as usize;
-            unsat[l] -= 1;
-            if enabled(li) && unsat[l] == 0 && over[l] == 0 && defeat[l] == 0 && !fired[l] {
-                fired[l] = true;
-                let head = view.rule(li).head;
-                if i.insert(head).expect("V preserves consistency") {
-                    queue.push(head);
-                }
-            }
-        }
-        // 2. Blocking: rules with the *complement* of `lit` in the body
-        //    become blocked; their victims lose an active attacker.
-        for &li in view.rules_with_body_lit(lit.complement()) {
-            let l = li as usize;
-            if blocked[l] {
-                continue;
-            }
-            if let Err(reason) = ticker.tick() {
-                interrupted = Some(reason);
-                break 'work;
-            }
-            blocked[l] = true;
-            if !enabled(li) {
-                continue;
-            }
-            for &v in view.victims_overrule(li) {
-                let vz = v as usize;
-                over[vz] -= 1;
-                if enabled(v) && unsat[vz] == 0 && over[vz] == 0 && defeat[vz] == 0 && !fired[vz] {
-                    fired[vz] = true;
-                    let head = view.rule(v).head;
-                    if i.insert(head).expect("V preserves consistency") {
-                        queue.push(head);
-                    }
-                }
-            }
-            for &v in view.victims_defeat(li) {
-                let vz = v as usize;
-                defeat[vz] -= 1;
-                if enabled(v) && unsat[vz] == 0 && over[vz] == 0 && defeat[vz] == 0 && !fired[vz] {
-                    fired[vz] = true;
-                    let head = view.rule(v).head;
-                    if i.insert(head).expect("V preserves consistency") {
-                        queue.push(head);
-                    }
-                }
-            }
-        }
-    }
-    // Every inserted literal was derived by a fired rule whose body
-    // held and whose attackers were blocked at fire time — conditions
-    // monotone in `i` — so `i` is a prefix of the increasing worklist
-    // closure and a sound under-approximation of the least model.
-    match interrupted {
-        None => Eval::Complete(i),
-        Some(reason) => Eval::Interrupted(Interrupted { reason, partial: i }),
-    }
 }
 
 #[cfg(test)]
@@ -401,16 +229,29 @@ mod tests {
         expect_model(&mut w, &m2, &["poor(mimmo)", "-rich(mimmo)"], g.n_atoms);
     }
 
+    /// Two disjoint copies of the paper's Fig. 2 (mutual defeat) plus an
+    /// independent chain: several strata and rule groups per view.
+    const TWO_FIG2: &str = "module c3 { rich(mimmo). -poor(X) :- rich(X).
+            wealthy(anna). -broke(X) :- wealthy(X). }
+         module c2 { poor(mimmo). -rich(X) :- poor(X).
+            broke(anna). -wealthy(X) :- broke(X). }
+         module c1 < c2, c3 { free_ticket(X) :- poor(X).
+            charity(X) :- broke(X).
+            happy(bob). smiling(X) :- happy(X). }";
+
     #[test]
     fn naive_and_incremental_agree_on_examples() {
         for src in [
             FIG1,
+            TWO_FIG2,
             "module c3 { rich(mimmo). -poor(X) :- rich(X). }
              module c2 { poor(mimmo). -rich(X) :- poor(X). }
              module c1 < c2, c3 { free_ticket(X) :- poor(X). }",
             "a :- b. -a :- b. b.",
+            "p. -p.",
             "module c2 { a. b. c. }
              module c1 < c2 { -a :- b, c. -b :- a. -b :- -b. }",
+            "p :- q. q :- p. r :- p.",
         ] {
             let (_, g) = ground(src);
             for c in 0..g.order.len() {
@@ -420,6 +261,28 @@ mod tests {
                     least_model_naive(&v),
                     "engines disagree on {src} in component {c}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn tripped_budget_yields_prefix_of_least_model() {
+        // Under any step budget both engines' partial results are
+        // subsets of the oracle's least model.
+        let (_, g) = ground(TWO_FIG2);
+        let v = View::new(&g, CompId(2));
+        let full = least_model_naive(&v);
+        for steps in [1u64, 2, 4, 8, 16, 32, 64] {
+            for eval in [
+                least_model_budgeted(&v, &Budget::with_steps(steps)),
+                least_model_naive_budgeted(&v, &Budget::with_steps(steps)),
+            ] {
+                match eval {
+                    Eval::Complete(m) => assert_eq!(m, full),
+                    Eval::Interrupted(Interrupted { partial, .. }) => {
+                        assert!(partial.is_subset(&full), "steps={steps}");
+                    }
+                }
             }
         }
     }

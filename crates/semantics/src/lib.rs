@@ -17,9 +17,9 @@
 //! * [`stable_models`] and friends — Definition 9 (maximal
 //!   assumption-free models), exhaustive models (Def. 5b, Prop. 2),
 //!   total models (Def. 5a);
-//! * [`Decomposition`] — SCC condensation of the dependency graph:
-//!   stratified fixpoints and product-form enumeration over independent
-//!   rule groups (on by default in [`least_model`] / [`stable_models`]);
+//! * [`Decomposition`] — the independent rule groups of the dependency
+//!   graph: product-form enumeration of stable and assumption-free
+//!   models (on by default in [`stable_models`]);
 //! * [`least_model_first`] — stable, skeptical and credulous readings
 //!   that search only the groups the least model leaves contested.
 //!
@@ -94,20 +94,16 @@ pub use assumption::{
 };
 pub use decomp::{
     enumerate_assumption_free_decomposed, enumerate_assumption_free_decomposed_budgeted,
-    least_model_delta, least_model_stratified, least_model_stratified_budgeted,
-    least_model_stratified_with, least_model_wavefront, least_model_wavefront_with,
     stable_models_decomposed, stable_models_decomposed_budgeted, stable_models_decomposed_cached,
     Decomposition, GroupMemo,
 };
 pub use explain::{explain, explain_budgeted, explain_in, render_why, Fate, Proof, Why};
 pub use fixpoint::{
-    least_model, least_model_budgeted, least_model_monolithic, least_model_monolithic_budgeted,
-    least_model_naive, least_model_naive_budgeted, least_model_parallel,
-    least_model_parallel_budgeted, least_model_restricted, least_model_restricted_budgeted, v_step,
+    least_model, least_model_budgeted, least_model_naive, least_model_naive_budgeted, v_step,
 };
 pub use flat_eval::{
     flatten, least_model_delta_flat, least_model_flat, least_model_flat_budgeted,
-    least_model_flat_definite, least_model_morsel, least_model_morsel_forced, MorselCfg,
+    least_model_flat_definite,
 };
 pub use least_first::{least_model_first, LeastFirst};
 pub use model::{check_model, is_model, ModelViolation};

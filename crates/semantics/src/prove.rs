@@ -18,8 +18,17 @@
 //! (body complement), and attack (head complement) edges, all of which
 //! are closed over. Agreement with the global least model is
 //! property-tested in the crate tests and `tests/theorems.rs`.
+//!
+//! The cone is evaluated as a sub-view ([`View::restrict`]) by the
+//! production least-model engine. That is exact because the cone
+//! contains every potential overruler and defeater of each of its
+//! rules: [`View::from_rules`] builds a rule's attack lists from the
+//! rules of the subset that have the complementary head, so each cone
+//! rule gets exactly the attackers the full view gives it. A cone rule
+//! may itself attack rules outside the cone; those victims never fire
+//! in the sub-view, and none of them can change a cone literal.
 
-use crate::fixpoint::least_model_restricted_budgeted;
+use crate::fixpoint::least_model_budgeted;
 use crate::view::{LocalIdx, View};
 use olp_core::{Budget, Eval, FxHashSet, GLit, InterruptReason, Interrupted};
 
@@ -87,8 +96,8 @@ pub fn prove(view: &View, query: GLit) -> bool {
 ///
 /// **Anytime guarantee:** the partial answer is a *sound
 /// under-approximation* — a partial `true` means the literal really is
-/// in the least model (the restricted fixpoint's partial result is a
-/// subset of its least fixpoint); a partial `false` means "not proven
+/// in the least model (the cone fixpoint's partial result is a subset
+/// of its least fixpoint); a partial `false` means "not proven
 /// within budget", never "disproven".
 pub fn prove_budgeted(view: &View, query: GLit, budget: &Budget) -> Eval<bool> {
     let cone = match relevance_cone_budgeted(view, query, budget) {
@@ -101,11 +110,8 @@ pub fn prove_budgeted(view: &View, query: GLit, budget: &Budget) -> Eval<bool> {
             })
         }
     };
-    let mut mask = vec![false; view.len()];
-    for li in &cone {
-        mask[*li as usize] = true;
-    }
-    least_model_restricted_budgeted(view, &mask, budget).map(|m| m.holds(query))
+    let globals: Vec<u32> = cone.iter().map(|&li| view.global_index(li)).collect();
+    least_model_budgeted(&view.restrict(&globals), budget).map(|m| m.holds(query))
 }
 
 #[cfg(test)]

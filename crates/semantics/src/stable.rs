@@ -328,7 +328,7 @@ pub fn maximal_only_budgeted(
 /// the plain enumerator ([`enumerate_assumption_free`]) is kept as the
 /// differential-testing reference (`stable_models_naive`), and
 /// [`crate::stable_solver::stable_models_propagating`] as the
-/// undecomposed (`--no-decomp`) path.
+/// undecomposed path.
 pub fn stable_models(view: &View, n_atoms: usize) -> Vec<Interpretation> {
     crate::decomp::stable_models_decomposed(view, n_atoms)
 }
@@ -352,8 +352,9 @@ pub fn stable_models_budgeted(
 }
 
 /// [`stable_models_budgeted`] without the group decomposition: one
-/// monolithic propagating search over the whole view. The `--no-decomp`
-/// escape hatch, and the fallback when the view is a single group.
+/// monolithic propagating search over the whole view: the path a view
+/// that forms a single group takes, and the differential baseline of
+/// the decomposition.
 pub fn stable_models_monolithic_budgeted(
     view: &View,
     n_atoms: usize,

@@ -71,7 +71,9 @@ impl<'g> View<'g> {
     /// groups are closed under head-atom sharing — every rule with a
     /// head complementary to an included rule's head is also included —
     /// so the attack structure inside the subset is exactly the attack
-    /// structure the full view assigns to those rules.
+    /// structure the full view assigns to those rules; and by the
+    /// prover ([`crate::prove::prove`]), whose relevance cone contains every
+    /// potential attacker of each of its rules.
     pub fn from_rules(gp: &'g GroundProgram, comp: CompId, rules: Vec<u32>) -> Self {
         let n = rules.len();
         let mut by_head: FxHashMap<GLit, Vec<LocalIdx>> = FxHashMap::default();

@@ -24,9 +24,7 @@
 //!        --db DIR / --durability MODE      serve a durable database (crash recovery included)
 //! common flags:
 //!        --exhaustive                      use the reference grounder (default: smart)
-//!        --no-decomp                       disable component-wise evaluation
-//!        --threads N                       worker threads (grounding + evaluation)
-//!        --morsel N                        target morsel weight for the parallel fixpoint
+//!        --threads N                       worker threads (grounding + stable search)
 //!        --timeout SECS                    wall-clock limit; partial results, exit 124
 //!        --max-steps N                     engine work-unit limit; same degradation
 //!        --max-models N                    stop model enumeration after N models
@@ -34,20 +32,17 @@
 //!
 //! When a limit is hit the command prints whatever was computed so far,
 //! marks it with a `PARTIAL` banner, and exits with code **124** (the
-//! `timeout(1)` convention).
+//! `timeout(1)` convention). An unknown `--flag` is a usage error
+//! (exit 2).
 
 use ordered_logic::analyze::{analyze, Severity};
 use ordered_logic::ground::{FlatView, ProgramStats};
-use ordered_logic::kb::{
-    default_morsel_weight, default_threads, DurableKb, KbError, RecoveryReport,
-};
+use ordered_logic::kb::{default_threads, DurableKb, KbError, RecoveryReport};
 use ordered_logic::prelude::*;
 use ordered_logic::semantics::{
     credulous_consequences_budgeted, enumerate_assumption_free_decomposed_budgeted,
-    enumerate_assumption_free_parallel_budgeted, enumerate_assumption_free_propagating_budgeted,
-    explain_in, flatten, least_model_monolithic_budgeted, least_model_morsel, render_why,
-    skeptical_consequences_budgeted, stable_models_budgeted, stable_models_monolithic_budgeted,
-    stable_models_parallel_budgeted, MorselCfg,
+    enumerate_assumption_free_parallel_budgeted, explain_in, least_model_budgeted, render_why,
+    skeptical_consequences_budgeted, stable_models_budgeted, stable_models_parallel_budgeted,
 };
 use ordered_logic::store::Db;
 use std::process::ExitCode;
@@ -63,9 +58,9 @@ fn usage() -> ExitCode {
              --explain adds each component's program profile (stratification
              class, order-relevance, conflict counts, cardinality bounds);
              errors always exit 1, warnings only under --deny warnings
-  olp models FILE [COMPONENT] [--least|--stable|--af|--skeptical|--credulous|--all-semantics] [--exhaustive] [--no-decomp]
-  olp query  FILE COMPONENT PATTERN [--explain] [--exhaustive] [--no-decomp]
-  olp repl   [FILE] [--db DIR] [--durability off|commit|batched] [--exhaustive] [--no-decomp]
+  olp models FILE [COMPONENT] [--least|--stable|--af|--skeptical|--credulous|--all-semantics] [--exhaustive]
+  olp query  FILE COMPONENT PATTERN [--explain] [--exhaustive]
+  olp repl   [FILE] [--db DIR] [--durability off|commit|batched] [--exhaustive]
              live session: use <component> | models | stable | explain <literal> |
              stats (evaluation plan + statistics) | assert <rule> |
              retract <rule> (incremental re-grounding, timed) |
@@ -86,16 +81,9 @@ persistence (see docs/DURABILITY.md):
   --durability MODE  off (no fsync) | commit (fsync per op, default) |
                      batched (fsync every 64 ops)
 evaluation:
-  --no-decomp        disable component-wise evaluation (SCC condensation
-                     and product-form enumeration); use the monolithic engines
-  --threads N        worker threads for grounding, the morsel-driven flat
-                     least model, and stable enumeration (default: the
-                     OLP_THREADS env var, else all cores; 1 = sequential;
-                     results are identical at every value)
-  --morsel N         target morsel weight (rules + body literals + attack
-                     edges) for the work-stealing fixpoint scheduler
-                     (default: the OLP_MORSEL env var, else 2048; purely
-                     a scheduling knob — results are identical)
+  --threads N        worker threads for grounding and stable enumeration
+                     (default: the OLP_THREADS env var, else all cores;
+                     1 = sequential; results are identical at every value)
 resource limits (any command):
   --timeout SECS     wall-clock limit (fractions allowed); exits 124 when hit
   --max-steps N      cap on engine work units; exits 124 when hit
@@ -110,13 +98,8 @@ struct Limits {
     timeout: Option<Duration>,
     max_steps: Option<u64>,
     max_models: Option<usize>,
-    /// Component-wise evaluation (on unless `--no-decomp`).
-    decomp: bool,
     /// Worker threads (`--threads N`, default [`default_threads`]).
     threads: usize,
-    /// Target morsel weight for the parallel fixpoint (`--morsel N`,
-    /// default [`default_morsel_weight`]).
-    morsel: u64,
     /// `check --deny warnings`: warnings become fatal (exit 1).
     deny_warnings: bool,
     /// `check --format json`: emit diagnostics as a JSON array.
@@ -139,9 +122,7 @@ impl Default for Limits {
             timeout: None,
             max_steps: None,
             max_models: None,
-            decomp: true,
             threads: default_threads(),
-            morsel: default_morsel_weight(),
             deny_warnings: false,
             json: false,
             db: None,
@@ -185,15 +166,6 @@ impl Limits {
                     return Err(format!("--threads: `{val}` must be at least 1"));
                 }
                 self.threads = n;
-            }
-            "morsel" => {
-                let n: u64 = val
-                    .parse()
-                    .map_err(|_| format!("--morsel: `{val}` is not a positive integer"))?;
-                if n == 0 {
-                    return Err(format!("--morsel: `{val}` must be at least 1"));
-                }
-                self.morsel = n;
             }
             "deny" => match val {
                 "warnings" => self.deny_warnings = true,
@@ -246,40 +218,19 @@ impl Limits {
         Budget::limited(self.max_steps, self.timeout.map(|t| Instant::now() + t))
     }
 
-    /// Least model under these limits: the flat morsel engine (which
-    /// runs its sequential path at `--threads 1`), or the monolithic
-    /// interpretive engine under `--no-decomp`.
-    fn least(&self, view: &View, budget: &Budget) -> Eval<Interpretation> {
-        if !self.decomp {
-            least_model_monolithic_budgeted(view, budget)
-        } else {
-            let cfg = MorselCfg {
-                threads: self.threads,
-                target_weight: self.morsel,
-                ..MorselCfg::default()
-            };
-            least_model_morsel(&flatten(view), &cfg, budget)
-        }
-    }
-
-    /// Stable models under these limits (parallel, decomposed, or
-    /// monolithic).
+    /// Stable models under these limits (parallel or decomposed).
     fn stable(&self, view: &View, n_atoms: usize, budget: &Budget) -> Eval<Vec<Interpretation>> {
-        if !self.decomp {
-            stable_models_monolithic_budgeted(view, n_atoms, budget, self.max_models)
-        } else if self.threads > 1 {
+        if self.threads > 1 {
             stable_models_parallel_budgeted(view, n_atoms, self.threads, budget, self.max_models)
         } else {
             stable_models_budgeted(view, n_atoms, budget, self.max_models)
         }
     }
 
-    /// Assumption-free models under these limits (parallel, decomposed,
-    /// or monolithic propagating search).
+    /// Assumption-free models under these limits (parallel or
+    /// decomposed).
     fn af(&self, view: &View, n_atoms: usize, budget: &Budget) -> Eval<Vec<Interpretation>> {
-        if !self.decomp {
-            enumerate_assumption_free_propagating_budgeted(view, n_atoms, budget, self.max_models)
-        } else if self.threads > 1 {
+        if self.threads > 1 {
             enumerate_assumption_free_parallel_budgeted(
                 view,
                 n_atoms,
@@ -470,8 +421,7 @@ fn cmd_check(path: &str, exhaustive: bool, explain: bool, limits: &Limits) -> Cm
             println!("    … and {} more conflicts", conflicts.len() - 5);
         }
         // The evaluation plan this component would run under: flat
-        // strata/levels, the morsel schedule at the configured weight,
-        // and the statistics that drive the join planner.
+        // strata/levels and the statistics that drive the join planner.
         // `--explain`: the semantic profile the analysis pass proved
         // for this component — what the engine's fast-path selection
         // keys on (see docs/ANALYSIS.md, "Program profiles").
@@ -500,16 +450,10 @@ fn cmd_check(path: &str, exhaustive: bool, explain: bool, limits: &Limits) -> Cm
             }
         }
         let fv = FlatView::new(&l.ground, id);
-        let morsels = fv.morsels(limits.morsel);
         println!(
-            "    plan: {} strata over {} levels; {} morsel{} @ weight {}, {} thread{}",
+            "    plan: {} strata over {} levels",
             fv.n_strata(),
             fv.n_levels(),
-            morsels.len(),
-            if morsels.len() == 1 { "" } else { "s" },
-            limits.morsel,
-            limits.threads,
-            if limits.threads == 1 { "" } else { "s" },
         );
         let stats = ProgramStats::collect(&l.world, &l.ground, id);
         for line in stats.render(&l.world).lines() {
@@ -543,7 +487,7 @@ fn cmd_models(
         let show_sk = matches!(mode, "skeptical" | "all");
         let show_cred = matches!(mode, "credulous" | "all");
         if show_least {
-            let ev = limits.least(&view, &budget);
+            let ev = least_model_budgeted(&view, &budget);
             if let Some(reason) = ev.reason() {
                 println!("{}", partial_banner("least model", reason));
                 partial = true;
@@ -630,7 +574,7 @@ fn cmd_query(
     let budget = limits.budget();
     let mut l = load(path, exhaustive, &budget, limits.threads)?;
     let c = find_component(&l, component)?;
-    cmd_query_loaded(&mut l, c, pattern, explain, &budget, limits).map_err(CliFail::Msg)
+    cmd_query_loaded(&mut l, c, pattern, explain, &budget).map_err(CliFail::Msg)
 }
 
 /// [`QueryOptions`] matching the command-line limits (fresh deadline
@@ -646,10 +590,7 @@ fn repl_opts(limits: &Limits) -> QueryOptions {
     if let Some(m) = limits.max_models {
         o = o.max_models(m);
     }
-    if !limits.decomp {
-        o = o.no_decomp();
-    }
-    o.threads(limits.threads).morsel_weight(limits.morsel)
+    o.threads(limits.threads)
 }
 
 /// The REPL's knowledge base: plain in-memory, or backed by an
@@ -811,7 +752,6 @@ fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult 
         (None, None) => return Err(CliFail::Msg("repl: FILE or --db DIR required".to_string())),
     };
     session.kb().set_threads(limits.threads);
-    session.kb().set_morsel_weight(limits.morsel);
     let origin = path
         .map(str::to_string)
         .or_else(|| limits.db.clone())
@@ -886,8 +826,7 @@ fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult 
             },
             "stats" => {
                 // The evaluation plan for the current component (or an
-                // explicit one): flat strata/levels, morsel schedule,
-                // and the statistics the join planner orders bodies by.
+                // explicit one): flat strata/levels and the statistics the join planner orders bodies by.
                 let target = if rest.is_empty() { &current } else { rest };
                 match session.kb().plan_report(target) {
                     Ok(text) => print!("{text}"),
@@ -936,7 +875,6 @@ fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult 
                     Ok((mut d, report)) => {
                         println!("{}", recovery_line(rest, &d, &report));
                         d.kb_mut().set_threads(limits.threads);
-                        d.kb_mut().set_morsel_weight(limits.morsel);
                         current = match d.kb_mut().objects().first() {
                             Some(first) => first.to_string(),
                             None => {
@@ -1005,7 +943,6 @@ fn cmd_serve(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult
                 println!("note: database {db} already exists; {p} not re-read");
             }
             d.kb_mut().set_threads(limits.threads);
-            d.kb_mut().set_morsel_weight(limits.morsel);
             ServeKb::Durable(Box::new(d))
         }
         (Some(db), Some(p)) => {
@@ -1023,7 +960,6 @@ fn cmd_serve(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult
         (None, Some(p)) => {
             let mut kb = load_repl_kb(p, exhaustive, limits)?;
             kb.set_threads(limits.threads);
-            kb.set_morsel_weight(limits.morsel);
             ServeKb::Plain(Box::new(kb))
         }
         (None, None) => return Err(CliFail::Msg("serve: FILE or --db DIR required".to_string())),
@@ -1133,10 +1069,9 @@ fn cmd_query_loaded(
     pattern: &str,
     explain: bool,
     budget: &Budget,
-    limits: &Limits,
 ) -> Result<bool, String> {
     let view = View::new(&l.ground, c);
-    let ev = limits.least(&view, budget);
+    let ev = least_model_budgeted(&view, budget);
     let suffix = match ev.reason() {
         Some(reason) => {
             println!("{}", partial_banner("least model", reason));
@@ -1215,7 +1150,6 @@ fn main() -> ExitCode {
                     | "max-steps"
                     | "max-models"
                     | "threads"
-                    | "morsel"
                     | "deny"
                     | "format"
                     | "db"
@@ -1241,8 +1175,22 @@ fn main() -> ExitCode {
                     eprintln!("error: {e}");
                     return ExitCode::from(2);
                 }
-            } else {
+            } else if matches!(
+                name,
+                "exhaustive"
+                    | "explain"
+                    | "least"
+                    | "stable"
+                    | "af"
+                    | "skeptical"
+                    | "credulous"
+                    | "all-semantics"
+                    | "interactive"
+            ) {
                 flags.push(format!("--{name}"));
+            } else {
+                eprintln!("error: unknown flag --{name}");
+                return usage();
             }
         } else {
             pos.push(a.clone());
@@ -1252,7 +1200,6 @@ fn main() -> ExitCode {
     let flags: Vec<&str> = flags.iter().map(String::as_str).collect();
     let pos: Vec<&str> = pos.iter().map(String::as_str).collect();
     let exhaustive = flags.contains(&"--exhaustive");
-    limits.decomp = !flags.contains(&"--no-decomp");
 
     let result = match pos.as_slice() {
         ["check", file] => cmd_check(file, exhaustive, flags.contains(&"--explain"), &limits),

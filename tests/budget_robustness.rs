@@ -25,14 +25,14 @@
 //! * unlimited budgets always complete with the exact answers.
 
 use olp_workload::{random_ordered, RandomCfg};
-use ordered_logic::core::{Budget, Eval, InterruptReason, World};
+use ordered_logic::core::{Budget, Eval, GLit, InterruptReason, World};
 use ordered_logic::ground::{ground_exhaustive, GroundConfig, GroundError, GroundProgram};
 use ordered_logic::kb::{GroundStrategy, KbBuilder, QueryOptions};
 use ordered_logic::semantics::{
     credulous_consequences_budgeted, enumerate_assumption_free_budgeted,
     enumerate_assumption_free_parallel_budgeted, enumerate_assumption_free_propagating,
     enumerate_assumption_free_propagating_budgeted, explain_budgeted, is_model, least_model,
-    least_model_budgeted, least_model_naive_budgeted, prove_budgeted,
+    least_model_budgeted, least_model_naive, least_model_naive_budgeted, prove_budgeted,
     skeptical_consequences_budgeted, stable_models_budgeted, View, Why,
 };
 use proptest::prelude::*;
@@ -274,23 +274,37 @@ fn cancellation_stops_parallel_grounding_promptly() {
 }
 
 #[test]
-fn cancellation_stops_the_wavefront_fixpoint() {
-    // Same contract for the stratum-wavefront least model: every worker
-    // shares the budget, so a cancellation trips all in-flight strata
-    // and the merged partial under-approximates the least model.
-    use ordered_logic::semantics::least_model_parallel_budgeted;
+fn cancellation_stops_the_prover() {
+    // The goal-directed prover shares its budget between the relevance
+    // cone and the cone's fixpoint: a cancelled budget stops it with a
+    // `false` that means "not proven", and a `true` from any step
+    // budget — complete or partial — holds in the oracle's least model.
     let (_, g) = workload(11);
     for ci in 0..g.order.len() {
         let view = View::new(&g, ordered_logic::core::CompId(ci as u32));
-        let full = least_model(&view);
-        let budget = Budget::cancellable();
-        budget.cancel();
-        match least_model_parallel_budgeted(&view, 4, &budget) {
-            // An empty level schedule can finish before the first probe.
-            Eval::Complete(m) => assert_eq!(m, full),
-            Eval::Interrupted(i) => {
-                assert_eq!(i.reason, InterruptReason::Cancelled);
-                assert!(i.partial.is_subset(&full));
+        let full = least_model_naive(&view);
+        for a in 0..g.n_atoms as u32 {
+            for q in [
+                GLit::pos(ordered_logic::core::AtomId(a)),
+                GLit::neg(ordered_logic::core::AtomId(a)),
+            ] {
+                let budget = Budget::cancellable();
+                budget.cancel();
+                match prove_budgeted(&view, q, &budget) {
+                    Eval::Complete(ans) => assert_eq!(ans, full.holds(q)),
+                    Eval::Interrupted(i) => {
+                        assert_eq!(i.reason, InterruptReason::Cancelled);
+                        assert!(!i.partial, "nothing is proven before the fixpoint runs");
+                    }
+                }
+                for steps in 0..64 {
+                    match prove_budgeted(&view, q, &Budget::with_steps(steps)) {
+                        Eval::Complete(ans) => assert_eq!(ans, full.holds(q)),
+                        Eval::Interrupted(i) => {
+                            assert!(!i.partial || full.holds(q), "partial `true` must be final");
+                        }
+                    }
+                }
             }
         }
     }

@@ -385,6 +385,25 @@ fn bad_limit_value_is_a_usage_error() {
     }
 }
 
+#[test]
+fn unknown_flag_is_a_usage_error() {
+    // A typo or a retired flag must not silently run the default mode.
+    let file = sample("p5.olp");
+    for (args, flag) in [
+        (vec!["models", &file, "c1", "--stabel"], "--stabel"),
+        (vec!["models", &file, "c1", "--no-decomp"], "--no-decomp"),
+        (vec!["models", &file, "c1", "--morsel", "8"], "--morsel"),
+    ] {
+        let (out, err, code) = olp_code(&args);
+        assert_eq!(code, 2, "{args:?}");
+        assert!(
+            err.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {err}"
+        );
+        assert!(out.is_empty(), "{args:?} printed models: {out}");
+    }
+}
+
 /// Runs the binary with `input` piped to stdin (REPL sessions).
 fn olp_stdin(args: &[&str], input: &str) -> (String, String, i32) {
     use std::io::Write;

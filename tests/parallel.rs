@@ -2,11 +2,10 @@
 //!
 //! * the batch-synchronous grounder emits a **byte-identical** ground
 //!   program at every thread count (same `rules` vector, same render);
-//! * the flat-arena least model (sequential and forced work-stealing
-//!   morsel scheduling) and the parallel assumption-free / stable
-//!   enumerators agree with the sequential interpretive engines;
-//! * morsel partitioning tiles the flat rule range exactly, and
-//!   budget cancellation under work stealing leaves a sound prefix;
+//! * the flat-arena least model (plain, definite and delta) agrees
+//!   with the `v_step` oracle, and a budget trip leaves a sound prefix;
+//! * the parallel assumption-free / stable enumerators agree with the
+//!   sequential engines;
 //! * the selectivity-driven join planner changes join *order* only —
 //!   with it disabled the instance set, and hence every model, is
 //!   identical;
@@ -17,10 +16,11 @@
 //! acceptance bar, and `PROPTEST_CASES` can scale it.
 
 use olp_workload::{random_datalog, random_ordered, DatalogCfg, RandomCfg};
+use ordered_logic::ground::GroundDelta;
 use ordered_logic::prelude::*;
 use ordered_logic::semantics::{
-    enumerate_assumption_free, enumerate_assumption_free_parallel, flatten, least_model_flat,
-    least_model_monolithic, least_model_morsel_forced, least_model_parallel,
+    enumerate_assumption_free, enumerate_assumption_free_parallel, flatten, least_model_delta_flat,
+    least_model_flat, least_model_flat_budgeted, least_model_flat_definite, least_model_naive,
     stable_models_parallel,
 };
 use proptest::prelude::*;
@@ -106,8 +106,8 @@ proptest! {
         }
     }
 
-    /// Wavefront least models and parallel AF/stable enumerations agree
-    /// with the sequential engines at 2 and 8 threads, per component.
+    /// Parallel AF/stable enumerations agree with the sequential
+    /// engines at 2 and 8 threads, per component.
     #[test]
     fn parallel_engines_agree_with_sequential(seed in 0u64..20_000) {
         let cfg = RandomCfg {
@@ -125,15 +125,9 @@ proptest! {
         for ci in 0..p.components.len() {
             let c = CompId(ci as u32);
             let view = View::new(&g, c);
-            let least_seq = least_model(&view);
             let af_seq = renders(&w, &enumerate_assumption_free(&view, g.n_atoms));
             let st_seq = renders(&w, &stable_models(&view, g.n_atoms));
             for threads in [2usize, 8] {
-                prop_assert_eq!(
-                    least_model_parallel(&view, threads).render(&w),
-                    least_seq.render(&w),
-                    "wavefront least model differs at {} threads (seed {})", threads, seed
-                );
                 prop_assert_eq!(
                     renders(&w, &enumerate_assumption_free_parallel(&view, g.n_atoms, threads)),
                     af_seq.clone(),
@@ -198,14 +192,72 @@ proptest! {
         }
     }
 
-    /// The flat arena engine and the work-stealing morsel scheduler are
-    /// byte-identical to the interpretive monolithic engine on random
-    /// *ordered* programs (overruling + defeat), per component. The
-    /// morsel path is **forced** — bypassing the small-program
-    /// sequential fallback — at the finest possible granularity (one
-    /// stratum per morsel), the worst case for publish/merge bugs.
+    /// The flat arena engines are identical to the `v_step` oracle on
+    /// random *ordered* programs (overruling + defeat), per component:
+    /// the plain engine on every view, the definite engine on every
+    /// negation-free view (a second, negation-free program per seed
+    /// guarantees some), and delta revalidation after the program's
+    /// last rule is asserted.
     #[test]
-    fn flat_and_morsel_match_interpretive(seed in 0u64..20_000) {
+    fn flat_engines_match_naive(seed in 0u64..20_000) {
+        let ordered = RandomCfg {
+            n_atoms: 6,
+            n_rules: 12,
+            max_body: 3,
+            neg_head_prob: 0.35,
+            neg_body_prob: 0.4,
+            n_components: 3,
+            edge_prob: 0.5,
+        };
+        let definite = RandomCfg { neg_head_prob: 0.0, neg_body_prob: 0.0, ..ordered.clone() };
+        for cfg in [ordered, definite] {
+            let mut w = World::new();
+            let mut p = random_ordered(&mut w, &cfg, seed);
+            let g = ground_smart(&mut w, &p, &GroundConfig::default()).unwrap();
+            // The same program minus its last rule, grounded in the
+            // same world: the delta engine revalidates its models.
+            let last = p.components.iter().rposition(|c| !c.rules.is_empty());
+            if let Some(ci) = last {
+                p.components[ci].rules.pop();
+            }
+            let g_old = ground_smart(&mut w, &p, &GroundConfig::default()).unwrap();
+            let touched = GroundDelta::between(&g_old, &g).touched_atoms(&g_old, &g);
+            for ci in 0..p.components.len() {
+                let c = CompId(ci as u32);
+                let view = View::new(&g, c);
+                let reference = least_model_naive(&view);
+                let fv = flatten(&view);
+                prop_assert_eq!(
+                    least_model_flat(&fv).render(&w), reference.render(&w),
+                    "flat engine differs from the oracle in component {} (seed {})", ci, seed
+                );
+                let negation_free = view
+                    .rules()
+                    .all(|(_, r)| r.head.is_pos() && r.body.iter().all(|b| b.is_pos()));
+                if negation_free {
+                    let ev = least_model_flat_definite(&fv, &Budget::unlimited());
+                    prop_assert_eq!(
+                        ev.value().render(&w), reference.render(&w),
+                        "definite engine differs from the oracle in component {} (seed {})",
+                        ci, seed
+                    );
+                }
+                let old = least_model_naive(&View::new(&g_old, c));
+                let ev = least_model_delta_flat(&fv, &old, &touched, &Budget::unlimited());
+                prop_assert_eq!(
+                    ev.value().render(&w), reference.render(&w),
+                    "delta engine differs from the oracle in component {} (seed {})", ci, seed
+                );
+            }
+        }
+    }
+
+    /// Cancellation: a step budget that trips mid-run leaves a **sound
+    /// monotone prefix** — every literal in the partial result also
+    /// holds in the oracle's least model — and never a crash, hang, or
+    /// over-claimed literal.
+    #[test]
+    fn flat_cancellation_leaves_sound_prefix(seed in 0u64..5_000, max_steps in 1u64..40) {
         let cfg = RandomCfg {
             n_atoms: 6,
             n_rules: 12,
@@ -221,120 +273,9 @@ proptest! {
         for ci in 0..p.components.len() {
             let c = CompId(ci as u32);
             let view = View::new(&g, c);
-            let reference = least_model_monolithic(&view).render(&w);
-            let fv = flatten(&view);
-            prop_assert_eq!(
-                least_model_flat(&fv).render(&w), reference.clone(),
-                "flat engine differs from interpretive in component {} (seed {})", ci, seed
-            );
-            let morsels = fv.morsels(1);
-            for threads in [2usize, 4, 8] {
-                let ev = least_model_morsel_forced(&fv, &morsels, threads, &Budget::unlimited());
-                prop_assert!(
-                    ev.reason().is_none(),
-                    "unlimited morsel run interrupted (seed {})", seed
-                );
-                prop_assert_eq!(
-                    ev.value().render(&w), reference.clone(),
-                    "forced morsel engine differs at {} threads in component {} (seed {})",
-                    threads, ci, seed
-                );
-            }
-        }
-    }
-
-    /// Morsel partitioning tiles the flat rule range exactly at every
-    /// target weight: every rule and every stratum lands in exactly one
-    /// morsel (nothing dropped, nothing duplicated), morsels never
-    /// split a stratum, and never span dependency levels.
-    #[test]
-    fn morsels_partition_rules_exactly(seed in 0u64..20_000, target in 1u64..5_000) {
-        let cfg = RandomCfg {
-            n_atoms: 6,
-            n_rules: 12,
-            max_body: 3,
-            neg_head_prob: 0.35,
-            neg_body_prob: 0.4,
-            n_components: 3,
-            edge_prob: 0.5,
-        };
-        let mut w = World::new();
-        let p = random_ordered(&mut w, &cfg, seed);
-        let g = ground_smart(&mut w, &p, &GroundConfig::default()).unwrap();
-        for ci in 0..p.components.len() {
-            let c = CompId(ci as u32);
-            let fv = flatten(&View::new(&g, c));
-            let ms = fv.morsels(target);
-            if fv.is_empty() {
-                prop_assert!(ms.is_empty(), "empty view produced morsels (seed {})", seed);
-                continue;
-            }
-            let mut next_rule = 0u32;
-            let mut next_stratum = 0u32;
-            for m in &ms {
-                prop_assert_eq!(
-                    m.rule_lo, next_rule,
-                    "rule gap or overlap before morsel (seed {}, target {})", seed, target
-                );
-                prop_assert_eq!(
-                    m.stratum_lo, next_stratum,
-                    "stratum gap or overlap before morsel (seed {}, target {})", seed, target
-                );
-                prop_assert!(m.stratum_hi > m.stratum_lo, "empty morsel (seed {})", seed);
-                // Morsel boundaries coincide with stratum boundaries
-                // (a split stratum would break the sequential-worklist
-                // invariant inside eval_strata).
-                prop_assert_eq!(fv.stratum(m.stratum_lo as usize).0, m.rule_lo);
-                prop_assert_eq!(fv.stratum(m.stratum_hi as usize - 1).1, m.rule_hi);
-                // All contained strata share the morsel's level.
-                let (slo, shi) = fv.level(m.level as usize);
-                prop_assert!(
-                    slo <= m.stratum_lo && m.stratum_hi <= shi,
-                    "morsel spans levels (seed {}, target {})", seed, target
-                );
-                next_rule = m.rule_hi;
-                next_stratum = m.stratum_hi;
-            }
-            prop_assert_eq!(
-                next_rule as usize, fv.len(),
-                "morsels do not cover all rules (seed {}, target {})", seed, target
-            );
-            prop_assert_eq!(
-                next_stratum as usize, fv.n_strata(),
-                "morsels do not cover all strata (seed {}, target {})", seed, target
-            );
-        }
-    }
-
-    /// Cancellation under work stealing: a step budget that trips
-    /// mid-run leaves a **sound monotone prefix** — every literal in
-    /// the partial result also holds in the full least model — and
-    /// never a crash, hang, or over-claimed literal, regardless of
-    /// which worker hits the limit first.
-    #[test]
-    fn morsel_cancellation_leaves_sound_prefix(seed in 0u64..5_000, max_steps in 1u64..40) {
-        let cfg = RandomCfg {
-            n_atoms: 6,
-            n_rules: 12,
-            max_body: 3,
-            neg_head_prob: 0.35,
-            neg_body_prob: 0.4,
-            n_components: 3,
-            edge_prob: 0.5,
-        };
-        let mut w = World::new();
-        let p = random_ordered(&mut w, &cfg, seed);
-        let g = ground_smart(&mut w, &p, &GroundConfig::default()).unwrap();
-        for ci in 0..p.components.len() {
-            let c = CompId(ci as u32);
-            let fv = flatten(&View::new(&g, c));
-            if fv.is_empty() {
-                continue;
-            }
-            let full = least_model_flat(&fv);
-            let morsels = fv.morsels(1);
+            let full = least_model_naive(&view);
             let budget = Budget::limited(Some(max_steps), None);
-            let ev = least_model_morsel_forced(&fv, &morsels, 4, &budget);
+            let ev = least_model_flat_budgeted(&flatten(&view), &budget);
             let partial = ev.value();
             for lit in partial.literals() {
                 prop_assert!(

@@ -1,15 +1,11 @@
 //! Exhaustive-interleaving model checks for the two synchronization
-//! protocols the engine actually relies on:
+//! protocols the engine relies on:
 //!
-//! 1. the morsel scheduler's publish/decrement handshake in
-//!    `crates/semantics/src/flat_eval.rs` — a worker merges its local
-//!    bits into the global set, then decrements each dependent's
-//!    indegree with `AcqRel`; the worker that observes the decrement
-//!    hit zero pushes the dependent, and the popping worker must see
-//!    *every* predecessor's merge, not just the last decrementer's.
-//!    The `stop`/interrupt-reason pair (reason slot written, then
-//!    `stop.store(true, Release)`; workers poll with `Acquire`) is
-//!    modeled alongside it.
+//! 1. the stop/interrupt-reason pair of the parallel stable enumerator's
+//!    governor in `crates/semantics/src/stable_solver.rs` — the first
+//!    worker to trip latches the reason, then raises `stopped` with
+//!    `Release`; workers poll it with `Acquire` and must then see the
+//!    reason.
 //! 2. the server's publish cell in `crates/server/src/lib.rs` — the
 //!    writer thread builds a snapshot and swaps the `Mutex<Arc<_>>`
 //!    cell; readers clone under the lock and must observe both a
@@ -27,9 +23,9 @@
 //! uninitialized/stale memory — the model reports it as a race.
 //!
 //! Every positive check is paired with a negative control: the same
-//! protocol with the ordering deliberately weakened (`Relaxed`
-//! decrement, `Relaxed` stop store, epoch published before the
-//! snapshot is written) must make the checker report a violation.
+//! protocol with the ordering deliberately weakened (`Relaxed` stop
+//! store, epoch published before the snapshot is written) must make
+//! the checker report a violation.
 //! That proves the search actually distinguishes the orderings and is
 //! not vacuously green.
 
@@ -82,243 +78,9 @@ impl Cell {
 }
 
 // ---------------------------------------------------------------------
-// Model 1: the morsel handshake.
-//
-// Dependency graph (a diamond with a tail — morsel 3 has TWO
-// predecessors, which is the shape that distinguishes AcqRel from
-// Relaxed: the last decrementer must hand over the other predecessor's
-// merge, which it only holds if its own decrement acquired it):
-//
-//        m0
-//       /  \
-//      m1    m2
-//       \  /
-//        m3
-//        |
-//        m4
-// ---------------------------------------------------------------------
-
-const N_MORSELS: usize = 5;
-const DEPENDENTS: [&[usize]; N_MORSELS] = [&[1, 2], &[3], &[3], &[4], &[]];
-const PREDS: [&[usize]; N_MORSELS] = [&[], &[0], &[0], &[1, 2], &[3]];
-
-fn merge_bit(m: usize) -> u16 {
-    1 << m
-}
-
-/// One worker's program counter, mirroring the loop in
-/// `least_model_morsel_definite`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum Pc {
-    /// Popping the queue / checking `remaining` for exit.
-    Idle,
-    /// Evaluating morsel `m`: reads the global set, merges local bits.
-    Eval(usize),
-    /// Decrementing `indegree[DEPENDENTS[m][i]]`.
-    Dec(usize, usize),
-    /// Decrementing `remaining`.
-    DecRemaining,
-    /// Returned.
-    Exit,
-}
-
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct SchedState {
-    indegree: Vec<Cell>,
-    remaining: Cell,
-    /// The injector + worker deques collapsed into one multiset; an
-    /// entry carries the pusher's view (crossbeam's push→pop/steal
-    /// edge is Release→Acquire, so a pop legitimately acquires it).
-    queue: Vec<(usize, u16)>,
-    pcs: Vec<Pc>,
-    /// Per-thread views: which morsel merges this thread has observed.
-    views: Vec<u16>,
-    /// Ground truth, for the executed-exactly-once check.
-    executed: u16,
-}
-
-#[derive(Clone)]
-enum SchedMove {
-    /// `Idle` thread pops queue index `idx`.
-    Pop { tid: usize, idx: usize },
-    /// Any other enabled step (or the empty-queue exit probe).
-    Step { tid: usize },
-}
-
-fn sched_init(workers: usize) -> SchedState {
-    let indegree: Vec<Cell> = PREDS
-        .iter()
-        .map(|p| Cell::new(u32::try_from(p.len()).unwrap()))
-        .collect();
-    let queue: Vec<(usize, u16)> = (0..N_MORSELS)
-        .filter(|&m| PREDS[m].is_empty())
-        .map(|m| (m, 0))
-        .collect();
-    SchedState {
-        indegree,
-        remaining: Cell::new(u32::try_from(N_MORSELS).unwrap()),
-        queue,
-        pcs: vec![Pc::Idle; workers],
-        views: vec![0; workers],
-        executed: 0,
-    }
-}
-
-fn sched_moves(s: &SchedState) -> Vec<SchedMove> {
-    let mut out = Vec::new();
-    for (tid, pc) in s.pcs.iter().enumerate() {
-        match pc {
-            Pc::Idle => {
-                if s.queue.is_empty() {
-                    // Empty pop → fall through to the remaining check.
-                    out.push(SchedMove::Step { tid });
-                } else {
-                    for idx in 0..s.queue.len() {
-                        out.push(SchedMove::Pop { tid, idx });
-                    }
-                }
-            }
-            Pc::Exit => {}
-            _ => out.push(SchedMove::Step { tid }),
-        }
-    }
-    out
-}
-
-/// Executes one transition. `acqrel_dec` is the knob under test: when
-/// false, the indegree decrement is modeled as `Relaxed` (value moves,
-/// views don't) — the negative control.
-fn sched_apply(s: &SchedState, mv: &SchedMove, acqrel_dec: bool) -> Result<SchedState, String> {
-    let mut n = s.clone();
-    match *mv {
-        SchedMove::Pop { tid, idx } => {
-            let (m, view) = n.queue.remove(idx);
-            // Pop/steal acquires the push.
-            n.views[tid] |= view;
-            n.pcs[tid] = Pc::Eval(m);
-        }
-        SchedMove::Step { tid } => match s.pcs[tid] {
-            Pc::Idle => {
-                // Queue was empty: `remaining.load(Acquire)`.
-                n.views[tid] |= s.remaining.view;
-                if s.remaining.val == 0 {
-                    n.pcs[tid] = Pc::Exit;
-                }
-            }
-            Pc::Eval(m) => {
-                let need: u16 = PREDS[m].iter().fold(0, |acc, &p| acc | merge_bit(p));
-                if n.views[tid] & need != need {
-                    return Err(format!(
-                        "worker {tid} evaluated morsel {m} without every predecessor \
-                         merge visible (view {:#07b}, need {need:#07b}) — it would read \
-                         a global set missing derived literals",
-                        n.views[tid]
-                    ));
-                }
-                if n.executed & merge_bit(m) != 0 {
-                    return Err(format!("morsel {m} executed twice"));
-                }
-                n.executed |= merge_bit(m);
-                // The merge into the global set: a publication event,
-                // in this thread's view from here on (program order).
-                n.views[tid] |= merge_bit(m);
-                n.pcs[tid] = if DEPENDENTS[m].is_empty() {
-                    Pc::DecRemaining
-                } else {
-                    Pc::Dec(m, 0)
-                };
-            }
-            Pc::Dec(m, i) => {
-                let d = DEPENDENTS[m][i];
-                if acqrel_dec {
-                    // fetch_sub(1, AcqRel): acquire the views released
-                    // by earlier decrementers, release ours.
-                    n.views[tid] |= s.indegree[d].view;
-                    n.indegree[d].view |= n.views[tid];
-                } // Relaxed: the value moves, the views don't.
-                n.indegree[d].val -= 1;
-                if n.indegree[d].val == 0 {
-                    n.queue.push((d, n.views[tid]));
-                }
-                n.pcs[tid] = if i + 1 < DEPENDENTS[m].len() {
-                    Pc::Dec(m, i + 1)
-                } else {
-                    Pc::DecRemaining
-                };
-            }
-            Pc::DecRemaining => {
-                // Always AcqRel, as in the real scheduler.
-                n.views[tid] |= s.remaining.view;
-                n.remaining.view |= n.views[tid];
-                n.remaining.val -= 1;
-                n.pcs[tid] = Pc::Idle;
-            }
-            Pc::Exit => unreachable!("exited threads have no moves"),
-        },
-    }
-    Ok(n)
-}
-
-fn sched_at_end(s: &SchedState) -> Result<(), String> {
-    let all: u16 = (1 << N_MORSELS) - 1;
-    if s.executed != all {
-        return Err(format!(
-            "scheduler terminated with morsels {:#07b} executed (want {all:#07b})",
-            s.executed
-        ));
-    }
-    if s.remaining.val != 0 || !s.queue.is_empty() {
-        return Err(format!(
-            "terminated with remaining={} and {} queued morsels",
-            s.remaining.val,
-            s.queue.len()
-        ));
-    }
-    Ok(())
-}
-
-/// Every interleaving of two workers over the diamond graph runs every
-/// morsel exactly once, and no worker ever evaluates a morsel without
-/// all of its predecessors' merges visible — given the `AcqRel`
-/// indegree decrement the real scheduler uses.
-#[test]
-fn morsel_handshake_is_race_free_under_acqrel() {
-    for workers in [2, 3] {
-        let states = explore(
-            sched_init(workers),
-            sched_moves,
-            |s, m| sched_apply(s, m, true),
-            sched_at_end,
-        )
-        .expect("no interleaving violates the handshake");
-        println!("morsel model (AcqRel, {workers} workers): {states} states explored");
-        assert!(states > 300, "model unexpectedly small: {states} states");
-    }
-}
-
-/// Negative control: with the indegree decrement weakened to
-/// `Relaxed`, some interleaving lets the last decrementer push a
-/// morsel while holding only its *own* predecessor's merge — the
-/// checker must find that schedule.
-#[test]
-fn morsel_handshake_relaxed_decrement_is_caught() {
-    let err = explore(
-        sched_init(2),
-        sched_moves,
-        |s, m| sched_apply(s, m, false),
-        sched_at_end,
-    )
-    .expect_err("a Relaxed decrement must leak an unpublished merge");
-    assert!(
-        err.contains("without every predecessor merge visible"),
-        "unexpected violation: {err}"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Model 2: the stop/interrupt-reason pair. A failing worker stores the
-// interrupt reason into the mutex slot, then raises `stop` with
-// Release; pollers that observe `stop` with Acquire read the reason.
+// Model 1: the stop/interrupt-reason pair. A failing worker latches the
+// interrupt reason, then raises `stop` with Release; pollers that
+// observe `stop` with Acquire read the reason.
 // ---------------------------------------------------------------------
 
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -400,7 +162,7 @@ fn stop_flag_relaxed_store_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// Model 3: the server's publish cell. The writer builds snapshot
+// Model 2: the server's publish cell. The writer builds snapshot
 // contents for epoch e (a plain-memory event), then swaps the
 // `Mutex<Arc<KbSnapshot>>` cell; readers clone under the same lock.
 // The mutex critical section is an Acquire/Release pair, so a reader

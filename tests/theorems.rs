@@ -171,7 +171,7 @@ proptest! {
         let (_, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
             let v = View::new(&g, CompId(ci as u32));
-            let m = least_model(&v);
+            let m = least_model_naive(&v);
             for a in 0..g.n_atoms as u32 {
                 for sign in [Sign::Pos, Sign::Neg] {
                     let q = GLit::new(sign, AtomId(a));
@@ -202,23 +202,23 @@ proptest! {
         }
     }
 
-    /// Component-wise evaluation (SCC-stratified fixpoint, product-form
-    /// enumeration over independent rule groups) is set-equal to the
-    /// monolithic engines on random ordered programs — the differential
-    /// correctness gate for the decomposition.
+    /// Component-wise evaluation (the stratified flat fixpoint,
+    /// product-form enumeration over independent rule groups) is
+    /// set-equal to the oracle and the monolithic engines on random
+    /// ordered programs — the differential correctness gate for the
+    /// decomposition.
     #[test]
     fn decomposed_engines_agree_with_monolithic(seed in 0u64..10_000) {
         use ordered_logic::semantics::{
             enumerate_assumption_free_decomposed, enumerate_assumption_free_propagating,
-            least_model_monolithic, least_model_stratified, stable_models_decomposed,
-            stable_models_monolithic_budgeted,
+            stable_models_decomposed, stable_models_monolithic_budgeted,
         };
         let cfg = small_cfg(5, 9, 3);
         let (w, p, g) = setup(seed, &cfg);
         for ci in 0..p.components.len() {
             let v = View::new(&g, CompId(ci as u32));
             prop_assert_eq!(
-                least_model_stratified(&v), least_model_monolithic(&v),
+                least_model(&v), least_model_naive(&v),
                 "stratified lfp differs (seed {}, comp {})", seed, ci);
             let mut a: Vec<String> = enumerate_assumption_free_propagating(&v, g.n_atoms)
                 .iter().map(|m| m.render(&w)).collect();
