@@ -33,8 +33,14 @@
 //! byte-identical results. If the analyzer stops proving the workload
 //! single-model, that is reported as FAIL too (lost fast-path
 //! coverage is a perf regression, not a skip).
+//!
+//! A fourth case guards the **load path**: `KbBuilder::build_with`
+//! (Smart) on the ancestor workload at 1 thread must cost at most 1.10x
+//! the `ground_smart` run it wraps. A load pays for the batch grounding
+//! closure only; the incremental grounder's state is built by the first
+//! write. Single-threaded, so it is asserted on every host.
 
-use olp_core::{CompId, World};
+use olp_core::{CompId, OrderedProgram, World};
 use olp_ground::{ground_smart, GroundConfig, GroundProgram};
 use olp_kb::{GroundStrategy, Kb, KbBuilder};
 use olp_parser::parse_program;
@@ -58,8 +64,11 @@ const TAX_LAYERS: usize = 4;
 /// engine on the provably single-model taxonomy view (B13 gate;
 /// measured ~5x, gated loosely against timer noise).
 const MIN_ANALYSIS_SPEEDUP: f64 = 1.3;
+/// Allowed load (`build_with`) overhead over the batch grounding it
+/// runs.
+const MAX_LOAD_RATIO: f64 = 1.10;
 
-fn build(threads: usize) -> (World, GroundProgram) {
+fn ancestor_parts() -> (World, OrderedProgram) {
     let mut w = World::new();
     let p = ancestor(
         &mut w,
@@ -69,6 +78,11 @@ fn build(threads: usize) -> (World, GroundProgram) {
         },
         N,
     );
+    (w, p)
+}
+
+fn build(threads: usize) -> (World, GroundProgram) {
+    let (mut w, p) = ancestor_parts();
     let cfg = GroundConfig {
         threads,
         ..GroundConfig::default()
@@ -90,6 +104,41 @@ fn end_to_end(threads: usize) -> (Duration, String) {
     (best, model)
 }
 
+/// Best-of-3 times of a KB load (`build_with`, Smart) and of the bare
+/// `ground_smart` run on the ancestor workload at 1 thread, plus both
+/// instance counts.
+fn load_vs_ground() -> (Duration, Duration, usize, usize) {
+    let cfg = GroundConfig {
+        threads: 1,
+        ..GroundConfig::default()
+    };
+    let (mut t_load, mut t_ground) = (Duration::MAX, Duration::MAX);
+    let (mut n_load, mut n_ground) = (0, 0);
+    // One untimed warm-up round, then the best of 3 timed rounds.
+    for round in 0..4 {
+        let (mut w, p) = ancestor_parts();
+        let t = Instant::now();
+        let g = ground_smart(&mut w, &p, &cfg).expect("ancestor grounds");
+        if round > 0 {
+            t_ground = t_ground.min(t.elapsed());
+        }
+        n_ground = g.len();
+        // Freed before the load is timed, so both runs start from the
+        // same heap.
+        drop((w, g));
+        let (w, p) = ancestor_parts();
+        let t = Instant::now();
+        let kb = KbBuilder::from_parts(w, p)
+            .build_with(GroundStrategy::Smart, &cfg)
+            .expect("ancestor grounds");
+        if round > 0 {
+            t_load = t_load.min(t.elapsed());
+        }
+        n_load = kb.ground_program().len();
+    }
+    (t_load, t_ground, n_load, n_ground)
+}
+
 /// A warm single-object KB over the mutation-stream base chain.
 fn build_mut_kb() -> Kb {
     let (base, _) = mutation_stream(
@@ -105,6 +154,7 @@ fn build_mut_kb() -> Kb {
         .build_with(GroundStrategy::Smart, &GroundConfig::default())
         .expect("chain programs ground");
     kb.set_threads(1);
+    kb.warm_incremental().expect("chain programs ground");
     let _ = kb.model("main").expect("main exists");
     kb
 }
@@ -226,6 +276,27 @@ fn main() {
         std::process::exit(1);
     }
     println!("perf-smoke: analysis fast-path speedup {speedup:.2}x meets ≥{MIN_ANALYSIS_SPEEDUP}x");
+
+    // Load path: a load pays for the batch grounding closure only.
+    // Single-threaded, asserted everywhere.
+    let (t_load, t_ground, n_load, n_ground) = load_vs_ground();
+    assert_eq!(
+        n_load, n_ground,
+        "a load grounds differently from ground_smart"
+    );
+    let load_ratio = t_load.as_secs_f64() / t_ground.as_secs_f64().max(1e-9);
+    println!(
+        "perf-smoke load ancestor N={N} E={EDGES}: build_with {t_load:?} vs \
+         ground_smart {t_ground:?} ({load_ratio:.2}x), {n_load} instances each"
+    );
+    if load_ratio > MAX_LOAD_RATIO {
+        eprintln!(
+            "perf-smoke: FAIL — a KB load took {load_ratio:.2}x its ground_smart run \
+             (limit {MAX_LOAD_RATIO}); loads pay for more than the batch grounding"
+        );
+        std::process::exit(1);
+    }
+    println!("perf-smoke: load ratio {load_ratio:.2} within {MAX_LOAD_RATIO}");
 
     let force = std::env::var("OLP_PERF_SMOKE_FORCE").is_ok_and(|v| v == "1");
     if host_cores < 2 && !force {

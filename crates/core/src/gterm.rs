@@ -147,6 +147,47 @@ pub struct GroundAtom {
     pub args: Box<[GTermId]>,
 }
 
+/// A ground atom's content as a borrowed lookup key, so probing
+/// [`AtomStore`] allocates nothing. Hashes and compares exactly as the
+/// derived impls of [`GroundAtom`] do.
+trait AtomKey {
+    fn parts(&self) -> (PredId, &[GTermId]);
+}
+
+impl AtomKey for GroundAtom {
+    fn parts(&self) -> (PredId, &[GTermId]) {
+        (self.pred, &self.args)
+    }
+}
+
+impl AtomKey for (PredId, &[GTermId]) {
+    fn parts(&self) -> (PredId, &[GTermId]) {
+        *self
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn AtomKey + 'a> for GroundAtom {
+    fn borrow(&self) -> &(dyn AtomKey + 'a) {
+        self
+    }
+}
+
+impl std::hash::Hash for dyn AtomKey + '_ {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        let (pred, args) = self.parts();
+        pred.hash(h);
+        args.hash(h);
+    }
+}
+
+impl PartialEq for dyn AtomKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn AtomKey + '_ {}
+
 /// Hash-consing arena for ground atoms, with a per-predicate index.
 #[derive(Debug, Default, Clone)]
 pub struct AtomStore {
@@ -163,13 +204,13 @@ impl AtomStore {
 
     /// Interns the ground atom `pred(args…)`.
     pub fn intern(&mut self, pred: PredId, args: &[GTermId]) -> AtomId {
+        if let Some(&id) = self.by_atom.get(&(pred, args) as &dyn AtomKey) {
+            return id;
+        }
         let key = GroundAtom {
             pred,
             args: args.into(),
         };
-        if let Some(&id) = self.by_atom.get(&key) {
-            return id;
-        }
         let id = AtomId(u32::try_from(self.atoms.len()).expect("atom store overflow"));
         self.atoms.push(key.clone());
         self.by_atom.insert(key, id);
@@ -182,14 +223,7 @@ impl AtomStore {
 
     /// Looks up a ground atom without interning.
     pub fn get_id(&self, pred: PredId, args: &[GTermId]) -> Option<AtomId> {
-        // Cheap probe that avoids building a GroundAtom when absent is
-        // common would need a borrowed key; the clone here is a small
-        // boxed slice and this path is not hot.
-        let key = GroundAtom {
-            pred,
-            args: args.into(),
-        };
-        self.by_atom.get(&key).copied()
+        self.by_atom.get(&(pred, args) as &dyn AtomKey).copied()
     }
 
     /// The content of atom `id`.

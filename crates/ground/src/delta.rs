@@ -26,11 +26,14 @@
 //!   admissibility re-checks exactly the conditions that gated their
 //!   original emission).
 //!
-//! The closure and the seed join run through the same batch-synchronous
-//! join engine as the smart grounder ([`crate::join`]): the read-only
-//! match phase fans out over [`GroundConfig::threads`] workers (paying
-//! off on large assert deltas), the commit phase is sequential, and the
-//! result is independent of the thread count.
+//! The closure, the seed join and the attacker phase are the smart
+//! grounder's own driver ([`crate::smart`]), run over a sink that also
+//! records each instance's producing rule and residual bindings — the
+//! provenance retraction replays — which [`crate::ground_smart`] does
+//! not pay for. The read-only match phase fans out over
+//! [`GroundConfig::threads`] workers (paying off on large assert
+//! deltas), the commit phase is sequential, and the result is
+//! independent of the thread count.
 //!
 //! Phase 2 (attacker instances, including the eternal-attacker
 //! sentinel collapse — see [`crate::smart`]) is re-run from the updated
@@ -43,42 +46,24 @@
 //!
 //! **Invariant** (tested in this module and fuzzed in
 //! `tests/incremental.rs`): after every successful operation, the
-//! assembled [`GroundProgram`] is identical to what [`ground_smart`]
+//! assembled [`GroundProgram`] is identical to what [`crate::ground_smart`]
 //! would produce on the mutated source program. On error (budget
 //! exhaustion, instance cap) the internal state is unspecified; callers
 //! must discard the grounder and fall back to a full reground.
 
-use crate::join::{compile_body, frontier_join, match_lit, BodyPlan, DIndex, Item, Rec, SpendPool};
+use crate::join::{Item, SpendPool};
 use crate::program::{GroundProgram, GroundRule};
+use crate::smart::{Closure, Sink};
 use crate::universe::{GroundConfig, GroundError};
 use olp_core::term::Bindings;
 use olp_core::{
-    AtomId, Budget, CompId, FxHashMap, FxHashSet, GLit, GTerm, GTermId, Literal, Order,
-    OrderedProgram, PredId, Rule, Sign, Sym, Term, World,
+    Budget, CompId, FxHashMap, FxHashSet, GLit, GTermId, Order, OrderedProgram, Rule, Sym, World,
 };
-use std::collections::VecDeque;
-
-/// A rule compiled for joining, with liveness and its own constants.
-/// The body literal patterns live in the parallel [`BodyPlan`] vector.
-#[derive(Debug)]
-struct DRule {
-    comp: CompId,
-    head: Literal,
-    cmps: Vec<olp_core::Cmp>,
-    vars: Vec<Sym>,
-    /// Variables in no body literal: enumerated over the active domain.
-    residual: Vec<Sym>,
-    /// Ground constants occurring in the rule text (head and body
-    /// literal arguments) — the rule's contribution to the seed domain.
-    consts: Vec<GTermId>,
-    /// Retracted rules stay registered (indices are stable) but dead.
-    alive: bool,
-}
 
 /// A phase-1 firing instance with enough provenance to replay it.
 #[derive(Debug)]
 struct Inst {
-    /// Index of the producing rule in [`DeltaGrounder::rules`].
+    /// Index of the producing rule in the closure's rule table.
     rule: u32,
     gr: GroundRule,
     /// The ground terms bound to the rule's residual variables at
@@ -87,79 +72,53 @@ struct Inst {
     residual_terms: Box<[GTermId]>,
 }
 
+/// The incremental grounder's [`Sink`]: every firing instance with its
+/// provenance, deduplicated per producing rule, and which rules have
+/// been retracted.
+#[derive(Debug, Default)]
+struct Provenance {
+    insts: Vec<Inst>,
+    seen: FxHashSet<(u32, GroundRule)>,
+    /// `retracted[r]` marks rule `r` dead (it stays registered, so
+    /// indices are stable); rules past the end are alive.
+    retracted: Vec<bool>,
+}
+
+impl Sink for Provenance {
+    #[inline]
+    fn live(&self, r: usize) -> bool {
+        !self.retracted.get(r).copied().unwrap_or(false)
+    }
+
+    fn record(&mut self, r: usize, gr: GroundRule, residual: &[Sym], b: &Bindings) {
+        if self.seen.insert((r as u32, gr.clone())) {
+            let mut residual_terms: Vec<GTermId> =
+                residual.iter().filter_map(|v| b.get(v).copied()).collect();
+            residual_terms.sort_unstable();
+            residual_terms.dedup();
+            self.insts.push(Inst {
+                rule: r as u32,
+                gr,
+                residual_terms: residual_terms.into_boxed_slice(),
+            });
+        }
+    }
+}
+
 /// Identifier of a registered rule, returned by
 /// [`DeltaGrounder::assert_rule`] and consumed by
 /// [`DeltaGrounder::retract_rule`].
 pub type DeltaRuleId = u32;
 
-/// Persistent incremental grounder: smart-grounder state that survives
-/// across mutations. See the module docs for the algorithm.
+/// Persistent incremental grounder: the grounding closure's state,
+/// kept across mutations. See the module docs for the algorithm.
 #[derive(Debug)]
 pub struct DeltaGrounder {
     order: Order,
     max_instances: usize,
-    max_depth: u32,
-    rules: Vec<DRule>,
-    /// Compiled body plans, indexed like `rules`.
-    plans: Vec<BodyPlan>,
-    d_set: FxHashSet<GLit>,
-    index: DIndex,
-    adom: Vec<GTermId>,
-    adom_set: FxHashSet<GTermId>,
-    queue: VecDeque<GLit>,
-    /// `(rule, body position)` join drivers per (pred, sign).
-    drivers: FxHashMap<(PredId, Sign), Vec<(usize, usize)>>,
-    /// Rules re-run whenever the active domain grows (facts and rules
-    /// with residual variables).
-    adom_dependent: Vec<usize>,
-    /// Phase-1 instances, dedup'd by `seen`.
-    insts: Vec<Inst>,
-    seen: FxHashSet<(u32, GroundRule)>,
+    closure: Closure<Provenance>,
     /// Phase-2 output, rebuilt per mutation.
     out2: Vec<GroundRule>,
-    /// Per-operation instance/step meter (rebuilt from `max_instances`
-    /// and the caller's governor at the start of each mutation).
-    pool: SpendPool,
-    threads: usize,
-    planner: bool,
-}
-
-/// Collects the interned constants of a rule's literal arguments
-/// (head and body), recursing through compound terms. Mirrors what
-/// [`crate::signature`] contributes for this rule.
-fn rule_consts(world: &mut World, rule: &Rule) -> Vec<GTermId> {
-    fn walk(t: &Term, world: &mut World, out: &mut Vec<GTermId>) {
-        match t {
-            Term::Var(_) => {}
-            Term::Const(c) => {
-                let id = world.terms.constant(*c);
-                if !out.contains(&id) {
-                    out.push(id);
-                }
-            }
-            Term::Int(i) => {
-                let id = world.terms.int(*i);
-                if !out.contains(&id) {
-                    out.push(id);
-                }
-            }
-            Term::App(_, args) => {
-                for a in args {
-                    walk(a, world, out);
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for t in &rule.head.args {
-        walk(t, world, &mut out);
-    }
-    for l in rule.body_lits() {
-        for t in &l.args {
-            walk(t, world, &mut out);
-        }
-    }
-    out
 }
 
 impl DeltaGrounder {
@@ -175,80 +134,12 @@ impl DeltaGrounder {
         let mut g = DeltaGrounder {
             order,
             max_instances: cfg.max_instances,
-            max_depth: cfg.max_depth,
-            rules: Vec::new(),
-            plans: Vec::new(),
-            d_set: FxHashSet::default(),
-            index: DIndex::default(),
-            adom: Vec::new(),
-            adom_set: FxHashSet::default(),
-            queue: VecDeque::new(),
-            drivers: FxHashMap::default(),
-            adom_dependent: Vec::new(),
-            insts: Vec::new(),
-            seen: FxHashSet::default(),
+            closure: Closure::ground(world, prog, cfg, Provenance::default())?,
             out2: Vec::new(),
-            pool: SpendPool::new(cfg.max_instances, cfg.budget.clone()),
-            threads: cfg.threads.max(1),
-            planner: cfg.plan,
         };
-        for (comp, rule) in prog.rules() {
-            g.register(world, comp, rule);
-        }
-        for ix in 0..g.rules.len() {
-            let cs = g.rules[ix].consts.clone();
-            for c in cs {
-                g.adom_add_term(world, c);
-            }
-        }
-        g.run_closure(world)?;
         g.attackers(world)?;
         let gp = g.assemble(world);
         Ok((g, gp))
-    }
-
-    /// Registers a compiled rule; returns its id. Does not ground it.
-    fn register(&mut self, world: &mut World, comp: CompId, rule: &Rule) -> DeltaRuleId {
-        let ix = self.rules.len();
-        let vars = rule.vars();
-        let lits: Vec<Literal> = rule.body_lits().cloned().collect();
-        let cmps: Vec<olp_core::Cmp> = rule.body_cmps().cloned().collect();
-        let mut body_vars = Vec::new();
-        for l in &lits {
-            l.collect_vars(&mut body_vars);
-        }
-        let residual: Vec<Sym> = vars
-            .iter()
-            .copied()
-            .filter(|v| !body_vars.contains(v))
-            .collect();
-        for (pos, l) in lits.iter().enumerate() {
-            self.drivers
-                .entry((l.pred, l.sign))
-                .or_default()
-                .push((ix, pos));
-        }
-        if lits.is_empty() || !residual.is_empty() {
-            self.adom_dependent.push(ix);
-        }
-        // Counting-domain seed: a ground fact bumps the planner's
-        // statistics prior for its (pred, sign) (re-asserting the same
-        // fact bumps it again — seeds are priors, not exact counts,
-        // and are superseded by measured statistics anyway).
-        if rule.head.is_ground() && lits.is_empty() && cmps.is_empty() {
-            self.index.seed(rule.head.pred, rule.head.sign, 1);
-        }
-        self.plans.push(compile_body(world, &lits));
-        self.rules.push(DRule {
-            comp,
-            head: rule.head.clone(),
-            cmps,
-            vars,
-            residual,
-            consts: rule_consts(world, rule),
-            alive: true,
-        });
-        ix as DeltaRuleId
     }
 
     /// Asserts `rule` into component `comp`: grounds only the new
@@ -265,18 +156,15 @@ impl DeltaGrounder {
         rule: &Rule,
         gov: &Budget,
     ) -> Result<(DeltaRuleId, GroundProgram), GroundError> {
-        self.pool = SpendPool::new(self.max_instances, gov.clone());
-        let id = self.register(world, comp, rule);
-        let cs = self.rules[id as usize].consts.clone();
-        for c in cs {
-            self.adom_add_term(world, c);
-        }
+        self.closure.pool = SpendPool::new(self.max_instances, gov.clone());
+        let id = self.closure.register(world, comp, rule);
+        self.closure.admit_consts(world, id);
         // Seed join: instances of the new rule whose bodies are already
-        // within `D` (later derivations drive it via `drivers`).
-        self.run_batch(world, &[Item::Seed { rule: id as usize }])?;
-        self.run_closure(world)?;
+        // within `D` (later derivations drive it via the drivers).
+        self.closure.run_batch(world, &[Item::Seed { rule: id }])?;
+        self.closure.run(world)?;
         self.attackers(world)?;
-        Ok((id, self.assemble(world)))
+        Ok((id as DeltaRuleId, self.assemble(world)))
     }
 
     /// Retracts a previously registered rule and replays the retained
@@ -289,8 +177,12 @@ impl DeltaGrounder {
         id: DeltaRuleId,
         gov: &Budget,
     ) -> Result<GroundProgram, GroundError> {
-        self.pool = SpendPool::new(self.max_instances, gov.clone());
-        self.rules[id as usize].alive = false;
+        self.closure.pool = SpendPool::new(self.max_instances, gov.clone());
+        let retracted = &mut self.closure.sink.retracted;
+        if retracted.len() <= id as usize {
+            retracted.resize(id as usize + 1, false);
+        }
+        retracted[id as usize] = true;
         self.replay(world)?;
         self.attackers(world)?;
         Ok(self.assemble(world))
@@ -299,178 +191,7 @@ impl DeltaGrounder {
     /// Number of phase-1 + phase-2 instances currently held (diagnostic
     /// — the CLI's timing output reports the delta between mutations).
     pub fn instance_count(&self) -> usize {
-        self.insts.len() + self.out2.len()
-    }
-
-    fn adom_add_term(&mut self, world: &World, t: GTermId) {
-        if self.adom_set.insert(t) {
-            self.adom.push(t);
-            if let GTerm::Func(_, args) = world.terms.get(t).clone() {
-                for a in &args {
-                    self.adom_add_term(world, *a);
-                }
-            }
-        }
-    }
-
-    fn d_add(&mut self, world: &World, l: GLit) {
-        if self.d_set.insert(l) {
-            self.index.add(world, l);
-            let atom = world.atoms.get(l.atom()).clone();
-            for &t in &atom.args {
-                self.adom_add_term(world, t);
-            }
-            self.queue.push_back(l);
-        }
-    }
-
-    fn intern_lit(world: &mut World, lit: &Literal, b: &Bindings) -> GLit {
-        let mut args = Vec::with_capacity(lit.args.len());
-        for t in &lit.args {
-            args.push(
-                t.intern(&mut world.terms, b)
-                    .expect("variables bound at emission"),
-            );
-        }
-        GLit::new(lit.sign, world.atoms.intern(lit.pred, &args))
-    }
-
-    /// Commits one phase-A match: enumerates residual variables over
-    /// the active domain, then emits.
-    fn commit(&mut self, world: &mut World, rec: Rec) -> Result<(), GroundError> {
-        let Rec { rule, mut b, body } = rec;
-        let residual: Vec<Sym> = self.rules[rule]
-            .residual
-            .iter()
-            .copied()
-            .filter(|v| !b.contains_key(v))
-            .collect();
-        if residual.is_empty() {
-            return self.emit(world, rule, &b, &body);
-        }
-        let adom = self.adom.clone();
-        if adom.is_empty() {
-            return Ok(());
-        }
-        let k = residual.len();
-        let mut idx = vec![0usize; k];
-        loop {
-            for (v, &i) in residual.iter().zip(idx.iter()) {
-                b.insert(*v, adom[i]);
-            }
-            self.emit(world, rule, &b, &body)?;
-            let mut p = 0;
-            loop {
-                if p == k {
-                    return Ok(());
-                }
-                idx[p] += 1;
-                if idx[p] < adom.len() {
-                    break;
-                }
-                idx[p] = 0;
-                p += 1;
-            }
-        }
-    }
-
-    fn emit(
-        &mut self,
-        world: &mut World,
-        rule_ix: usize,
-        b: &Bindings,
-        body: &[GLit],
-    ) -> Result<(), GroundError> {
-        self.pool.spend(1)?;
-        if b.values().any(|&t| world.terms.depth(t) > self.max_depth) {
-            return Ok(());
-        }
-        for cmp in &self.rules[rule_ix].cmps {
-            match cmp.eval(&world.terms, b) {
-                Ok(true) => {}
-                Ok(false) | Err(_) => return Ok(()),
-            }
-        }
-        let head_lit = self.rules[rule_ix].head.clone();
-        let head = Self::intern_lit(world, &head_lit, b);
-        let comp = self.rules[rule_ix].comp;
-        let gr = GroundRule::new(head, body.to_vec(), comp);
-        self.d_add(world, head);
-        if self.seen.insert((rule_ix as u32, gr.clone())) {
-            let mut residual_terms: Vec<GTermId> = self.rules[rule_ix]
-                .residual
-                .iter()
-                .filter_map(|v| b.get(v).copied())
-                .collect();
-            residual_terms.sort_unstable();
-            residual_terms.dedup();
-            self.insts.push(Inst {
-                rule: rule_ix as u32,
-                gr,
-                residual_terms: residual_terms.into_boxed_slice(),
-            });
-        }
-        Ok(())
-    }
-
-    /// One batch: phase-A join (parallel) + phase-B commit (in order).
-    fn run_batch(&mut self, world: &mut World, items: &[Item]) -> Result<(), GroundError> {
-        let recs = frontier_join(
-            world,
-            &self.plans,
-            &self.index,
-            items,
-            self.threads,
-            self.planner,
-            &self.pool,
-        )?;
-        for per_item in recs {
-            for rec in per_item {
-                self.commit(world, rec)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Semi-naive closure: drains the derivation queue batchwise,
-    /// re-running the active-domain-dependent rules whenever the domain
-    /// grows. All emissions are deduplicated against `seen`, so
-    /// re-running is idempotent.
-    fn run_closure(&mut self, world: &mut World) -> Result<(), GroundError> {
-        let mut last_adom = usize::MAX;
-        let mut items: Vec<Item> = Vec::new();
-        loop {
-            items.clear();
-            if self.adom.len() != last_adom {
-                last_adom = self.adom.len();
-                items.extend(
-                    self.adom_dependent
-                        .iter()
-                        .filter(|&&r| self.rules[r].alive)
-                        .map(|&r| Item::Seed { rule: r }),
-                );
-            } else if !self.queue.is_empty() {
-                while let Some(l) = self.queue.pop_front() {
-                    let pred = world.atoms.get(l.atom()).pred;
-                    if let Some(driven) = self.drivers.get(&(pred, l.sign())) {
-                        items.extend(
-                            driven
-                                .iter()
-                                .filter(|&&(rule, _)| self.rules[rule].alive)
-                                .map(|&(rule, pos)| Item::Drive { lit: l, rule, pos }),
-                        );
-                    }
-                }
-            } else {
-                return Ok(());
-            }
-            if items.is_empty() {
-                continue;
-            }
-            let batch = std::mem::take(&mut items);
-            self.run_batch(world, &batch)?;
-            items = batch;
-        }
+        self.closure.sink.insts.len() + self.out2.len()
     }
 
     /// Propositional replay after a retraction: rebuilds `D`, the
@@ -480,23 +201,20 @@ impl DeltaGrounder {
     /// residual terms are (re)admitted to the domain; firing derives
     /// its head, which admits the head's terms.
     fn replay(&mut self, world: &mut World) -> Result<(), GroundError> {
-        let cands: Vec<Inst> = std::mem::take(&mut self.insts)
+        let c = &mut self.closure;
+        let cands: Vec<Inst> = std::mem::take(&mut c.sink.insts)
             .into_iter()
-            .filter(|i| self.rules[i.rule as usize].alive)
+            .filter(|i| c.sink.live(i.rule as usize))
             .collect();
-        self.d_set.clear();
-        self.index.clear();
-        self.adom.clear();
-        self.adom_set.clear();
-        self.queue.clear();
-        self.seen.clear();
-        for ix in 0..self.rules.len() {
-            if !self.rules[ix].alive {
-                continue;
-            }
-            let cs = self.rules[ix].consts.clone();
-            for c in cs {
-                self.adom_add_term(world, c);
+        c.d_set.clear();
+        c.index.clear();
+        c.adom.clear();
+        c.adom_set.clear();
+        c.queue.clear();
+        c.sink.seen.clear();
+        for r in 0..c.rules.len() {
+            if c.sink.live(r) {
+                c.admit_consts(world, r);
             }
         }
         let mut waiters_lit: FxHashMap<GLit, Vec<usize>> = FxHashMap::default();
@@ -508,7 +226,7 @@ impl DeltaGrounder {
         let mut fired = vec![false; cands.len()];
         let mut ready: Vec<usize> = Vec::new();
         for (i, inst) in cands.iter().enumerate() {
-            self.pool.spend(1)?;
+            c.pool.spend(1)?;
             for &l in &inst.gr.body {
                 waiters_lit.entry(l).or_default().push(i);
             }
@@ -524,8 +242,8 @@ impl DeltaGrounder {
         // the same cursor as replay-time admissions.
         let mut adom_cursor = 0usize;
         loop {
-            if adom_cursor < self.adom.len() {
-                let t = self.adom[adom_cursor];
+            if adom_cursor < c.adom.len() {
+                let t = c.adom[adom_cursor];
                 adom_cursor += 1;
                 if let Some(ws) = waiters_term.get(&t) {
                     for &i in ws {
@@ -537,7 +255,7 @@ impl DeltaGrounder {
                 }
                 continue;
             }
-            if let Some(l) = self.queue.pop_front() {
+            if let Some(l) = c.queue.pop_front() {
                 if let Some(ws) = waiters_lit.get(&l) {
                     for &i in ws {
                         missing[i].0 -= 1;
@@ -552,7 +270,7 @@ impl DeltaGrounder {
                 Some(i) => {
                     if !fired[i] {
                         fired[i] = true;
-                        self.d_add(world, cands[i].gr.head);
+                        c.d_add(world, cands[i].gr.head);
                     }
                 }
                 None => break,
@@ -560,137 +278,24 @@ impl DeltaGrounder {
         }
         for (i, inst) in cands.into_iter().enumerate() {
             if fired[i] {
-                self.seen.insert((inst.rule, inst.gr.clone()));
-                self.insts.push(inst);
+                c.sink.seen.insert((inst.rule, inst.gr.clone()));
+                c.sink.insts.push(inst);
             }
         }
         Ok(())
     }
 
-    /// Phase 2: attacker instances, identical construction to
-    /// [`crate::smart`] (blockable instances kept precise; eternal
-    /// attackers collapsed to one sentinel-bodied representative per
-    /// (victim, component)). Rebuilt in full every mutation, over a
-    /// sorted domain copy so it matches a from-scratch grounding.
+    /// Phase 2 from the current `D`, rebuilt in full every mutation.
     fn attackers(&mut self, world: &mut World) -> Result<(), GroundError> {
         self.out2.clear();
-        let mut sentinel: Option<GLit> = None;
-        let mut eternal_seen: FxHashSet<(GLit, CompId)> = FxHashSet::default();
-        let mut adom = self.adom.clone();
-        adom.sort_unstable();
-
-        for rule_ix in 0..self.rules.len() {
-            if !self.rules[rule_ix].alive {
-                continue;
-            }
-            let head = self.rules[rule_ix].head.clone();
-            let victims: Vec<AtomId> = if head.is_ground() {
-                let empty = Bindings::default();
-                let mut args = Vec::with_capacity(head.args.len());
-                for t in &head.args {
-                    args.push(
-                        t.intern(&mut world.terms, &empty)
-                            .expect("ground head interning cannot fail"),
-                    );
-                }
-                let atom = world.atoms.intern(head.pred, &args);
-                if self.d_set.contains(&GLit::new(head.sign.flip(), atom)) {
-                    vec![atom]
-                } else {
-                    Vec::new()
-                }
-            } else {
-                self.index.candidates(head.pred, head.sign.flip()).to_vec()
-            };
-            'victims: for victim in victims {
-                let mut b = Bindings::default();
-                if !match_lit(world, &head, victim, &mut b) {
-                    continue;
-                }
-                let free: Vec<Sym> = self.rules[rule_ix]
-                    .vars
-                    .iter()
-                    .copied()
-                    .filter(|v| !b.contains_key(v))
-                    .collect();
-                let k = free.len();
-                let mut idx = vec![0usize; k];
-                if k > 0 && adom.is_empty() {
-                    continue;
-                }
-                loop {
-                    for (v, &i) in free.iter().zip(idx.iter()) {
-                        b.insert(*v, adom[i]);
-                    }
-                    self.pool.spend(1)?;
-                    let cmps_ok = self.rules[rule_ix]
-                        .cmps
-                        .iter()
-                        .all(|c| matches!(c.eval(&world.terms, &b), Ok(true)))
-                        && !b.values().any(|&t| world.terms.depth(t) > self.max_depth);
-                    if cmps_ok {
-                        let body_lits: Vec<Literal> = self.plans[rule_ix]
-                            .lits
-                            .iter()
-                            .map(|jl| jl.lit.clone())
-                            .collect();
-                        let mut body = Vec::with_capacity(body_lits.len());
-                        let mut blockable = false;
-                        let mut body_derivable = true;
-                        for l in &body_lits {
-                            let gl = Self::intern_lit(world, l, &b);
-                            if self.d_set.contains(&gl.complement()) {
-                                blockable = true;
-                            }
-                            if !self.d_set.contains(&gl) {
-                                body_derivable = false;
-                            }
-                            body.push(gl);
-                        }
-                        let head_glit = GLit::new(head.sign, victim);
-                        let comp = self.rules[rule_ix].comp;
-                        if blockable {
-                            self.out2.push(GroundRule::new(head_glit, body, comp));
-                        } else if body_derivable {
-                            continue 'victims;
-                        } else {
-                            if eternal_seen.insert((head_glit, comp)) {
-                                let s = *sentinel.get_or_insert_with(|| {
-                                    GLit::pos(world.ground_atom("#undef", &[]))
-                                });
-                                self.out2.push(GroundRule::new(head_glit, vec![s], comp));
-                            }
-                            continue 'victims;
-                        }
-                    }
-                    if k == 0 {
-                        break;
-                    }
-                    let mut p = 0;
-                    loop {
-                        if p == k {
-                            break;
-                        }
-                        idx[p] += 1;
-                        if idx[p] < adom.len() {
-                            break;
-                        }
-                        idx[p] = 0;
-                        p += 1;
-                    }
-                    if p == k {
-                        break;
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.closure.attackers(world, &mut self.out2)
     }
 
     /// Assembles the current state into a canonical [`GroundProgram`].
     fn assemble(&self, world: &World) -> GroundProgram {
-        let mut rules: Vec<GroundRule> = Vec::with_capacity(self.insts.len() + self.out2.len());
-        rules.extend(self.insts.iter().map(|i| i.gr.clone()));
+        let insts = &self.closure.sink.insts;
+        let mut rules: Vec<GroundRule> = Vec::with_capacity(insts.len() + self.out2.len());
+        rules.extend(insts.iter().map(|i| i.gr.clone()));
         rules.extend(self.out2.iter().cloned());
         GroundProgram::new(rules, self.order.clone(), world.atoms.len())
     }

@@ -417,14 +417,16 @@ fn join_rec(
     let (idx, cand) = choose(plan, index, remaining, b, planner);
     let pos = remaining.swap_remove(idx);
     let jl = &plan.lits[pos];
+    // Every candidate starts from the same bindings, so the variables
+    // this literal binds afresh are the ones to unbind after each.
+    let fresh: Vec<Sym> = jl
+        .vars
+        .iter()
+        .copied()
+        .filter(|v| !b.contains_key(v))
+        .collect();
     for &c in cand {
         spend.spend(1)?;
-        let preexisting: Vec<Sym> = jl
-            .vars
-            .iter()
-            .copied()
-            .filter(|v| b.contains_key(v))
-            .collect();
         if match_lit(world, &jl.lit, c, b) {
             body[pos] = Some(GLit::new(jl.lit.sign, c));
             join_rec(
@@ -432,10 +434,8 @@ fn join_rec(
             )?;
             body[pos] = None;
         }
-        for v in &jl.vars {
-            if !preexisting.contains(v) {
-                b.remove(v);
-            }
+        for v in &fresh {
+            b.remove(v);
         }
     }
     remaining.push(pos);

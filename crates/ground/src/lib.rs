@@ -58,7 +58,6 @@
 )]
 
 pub mod delta;
-pub mod demand;
 pub mod exhaustive;
 pub mod flat;
 mod join;
@@ -67,9 +66,8 @@ pub mod smart;
 pub mod universe;
 
 pub use delta::{DeltaGrounder, DeltaRuleId, GroundDelta};
-pub use demand::{ground_smart_for, relevant_predicates};
 pub use exhaustive::ground_exhaustive;
 pub use flat::{FlatIdx, FlatPatch, FlatView, PredStats, ProgramStats};
 pub use program::{GroundProgram, GroundRule, RuleIdx};
-pub use smart::{ground_smart, ground_smart_seeded};
+pub use smart::ground_smart;
 pub use universe::{herbrand_universe, signature, GroundConfig, GroundError, Signature};

@@ -127,14 +127,18 @@ impl GroundProgram {
         out
     }
 
-    /// Renders a ground rule for diagnostics.
+    /// Renders a ground rule for diagnostics, body literals in text
+    /// order (independent of the world's interning order).
     pub fn rule_str(&self, world: &World, idx: RuleIdx) -> String {
         let r = &self.rules[idx as usize];
         let head = world.glit_str(r.head);
         if r.body.is_empty() {
             format!("[{}] {}.", r.comp.0, head)
         } else {
-            let body: Vec<String> = r.body.iter().map(|&l| world.glit_str(l)).collect();
+            // Sorted by text, not by atom id: ids follow interning
+            // order, which differs between equivalent groundings.
+            let mut body: Vec<String> = r.body.iter().map(|&l| world.glit_str(l)).collect();
+            body.sort_unstable();
             format!("[{}] {} :- {}.", r.comp.0, head, body.join(", "))
         }
     }
@@ -191,6 +195,23 @@ mod tests {
         assert!(text.contains("component 0:"));
         assert!(text.contains("component 1:"));
         assert!(text.contains("[1] -b :- a."));
+    }
+
+    #[test]
+    fn rule_str_does_not_depend_on_interning_order() {
+        use olp_core::World;
+        let render = |names: [&str; 3]| {
+            let mut w = World::new();
+            for n in names {
+                w.ground_atom(n, &[]);
+            }
+            let [h, a, b] = ["h", "a", "b"].map(|n| GLit::pos(w.ground_atom(n, &[])));
+            let gp =
+                GroundProgram::new(vec![GroundRule::new(h, vec![a, b], CompId(0))], order2(), 3);
+            gp.rule_str(&w, 0)
+        };
+        assert_eq!(render(["h", "a", "b"]), "[0] h :- a, b.");
+        assert_eq!(render(["b", "a", "h"]), "[0] h :- a, b.");
     }
 
     #[test]

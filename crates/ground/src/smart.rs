@@ -56,6 +56,14 @@
 //! the delta grounder reaches the same state along a different history
 //! and must produce the same phase-2 instances.
 //!
+//! ## One closure for batch and incremental grounding
+//!
+//! [`crate::DeltaGrounder`] runs this same driver (`Closure`) and keeps
+//! it alive across mutations. What the driver records per instance is
+//! fixed by its sink type: [`ground_smart`] collects the instances
+//! alone, while the delta grounder also records each instance's
+//! producing rule and residual bindings, which retraction replays.
+//!
 //! ## Scope
 //!
 //! The result is sound and complete w.r.t. the exhaustive grounding for
@@ -68,17 +76,18 @@
 
 use crate::join::{compile_body, frontier_join, match_lit, BodyPlan, DIndex, Item, Rec, SpendPool};
 use crate::program::{GroundProgram, GroundRule};
-use crate::universe::{signature, GroundConfig, GroundError};
+use crate::universe::{GroundConfig, GroundError};
 use olp_core::term::Bindings;
 use olp_core::{
     AtomId, CompId, FxHashMap, FxHashSet, GLit, GTerm, GTermId, Literal, OrderedProgram, PredId,
-    Sign, Sym, Term, World,
+    Rule, Sign, Sym, Term, World,
 };
 use std::collections::VecDeque;
 
 /// A rule compiled for joining. The body literal patterns live in the
 /// parallel [`BodyPlan`] vector (shared with the join engine).
-struct CRule {
+#[derive(Debug)]
+pub(crate) struct CRule {
     comp: CompId,
     head: Literal,
     cmps: Vec<olp_core::Cmp>,
@@ -86,31 +95,61 @@ struct CRule {
     /// Variables that appear in no body literal (head-only or
     /// comparison-only): they must be enumerated over the active domain.
     residual: Vec<Sym>,
+    /// Ground constants occurring in the rule text (head and body
+    /// literal arguments): the rule's contribution to the seed domain.
+    consts: Vec<GTermId>,
 }
 
-struct Smart<'w> {
-    world: &'w mut World,
-    rules: Vec<CRule>,
+/// What the closure keeps per phase-1 firing instance. Batch grounding
+/// (`Vec<GroundRule>`) keeps the instance alone; the incremental
+/// grounder's sink also keeps the provenance retraction replays and
+/// the liveness of retracted rules. Chosen by type, so a batch
+/// grounding pays for no provenance.
+pub(crate) trait Sink {
+    /// Whether rule `r` still takes part in grounding.
+    fn live(&self, r: usize) -> bool;
+    /// Records a firing instance of rule `r`; `b` binds (among others)
+    /// the rule's `residual` variables.
+    fn record(&mut self, r: usize, gr: GroundRule, residual: &[Sym], b: &Bindings);
+}
+
+impl Sink for Vec<GroundRule> {
+    #[inline]
+    fn live(&self, _: usize) -> bool {
+        true
+    }
+
+    fn record(&mut self, _: usize, gr: GroundRule, _: &[Sym], _: &Bindings) {
+        self.push(gr);
+    }
+}
+
+/// The grounding closure: compiled rules, the derivability closure `D`,
+/// the active domain and the join drivers, run to a fixpoint by
+/// [`Closure::run`] and completed by [`Closure::attackers`]. Batch and
+/// incremental grounding are this one driver over different [`Sink`]s.
+#[derive(Debug)]
+pub(crate) struct Closure<S> {
+    pub(crate) rules: Vec<CRule>,
     /// Compiled body plans, indexed like `rules`.
     plans: Vec<BodyPlan>,
     /// Derivability closure, as a set and a positional join index.
-    d_set: FxHashSet<GLit>,
-    index: DIndex,
+    pub(crate) d_set: FxHashSet<GLit>,
+    pub(crate) index: DIndex,
     /// Active domain: ground terms occurring in derivable atoms or in
     /// the program text.
-    adom: Vec<GTermId>,
-    adom_set: FxHashSet<GTermId>,
-    queue: VecDeque<GLit>,
+    pub(crate) adom: Vec<GTermId>,
+    pub(crate) adom_set: FxHashSet<GTermId>,
+    pub(crate) queue: VecDeque<GLit>,
     /// `(rule, body position)` pairs indexed by the (pred, sign) a new
     /// literal could drive.
     drivers: FxHashMap<(PredId, Sign), Vec<(usize, usize)>>,
     /// Rules with residual variables or empty literal bodies: re-run
     /// whenever the active domain grows.
     adom_dependent: Vec<usize>,
-    out: Vec<GroundRule>,
     /// Shared instance/step meter (max_instances + governor), drawn
     /// from concurrently by phase-A workers.
-    pool: SpendPool,
+    pub(crate) pool: SpendPool,
     /// Same depth bound as the exhaustive grounder: an instance whose
     /// variable bindings exceed it is dropped, which keeps derivations
     /// through function symbols (e.g. `even(s(s(X))) ← even(X)`)
@@ -118,45 +157,163 @@ struct Smart<'w> {
     max_depth: u32,
     threads: usize,
     planner: bool,
+    pub(crate) sink: S,
 }
 
-impl Smart<'_> {
-    fn adom_add_term(&mut self, t: GTermId) {
+/// Collects the interned constants of a rule's literal arguments
+/// (head and body), recursing through compound terms: what
+/// [`crate::signature`] contributes for this rule.
+fn rule_consts(world: &mut World, rule: &Rule) -> Vec<GTermId> {
+    fn walk(t: &Term, world: &mut World, out: &mut Vec<GTermId>) {
+        let id = match t {
+            Term::Var(_) => return,
+            Term::Const(c) => world.terms.constant(*c),
+            Term::Int(i) => world.terms.int(*i),
+            Term::App(_, args) => {
+                for a in args {
+                    walk(a, world, out);
+                }
+                return;
+            }
+        };
+        if !out.contains(&id) {
+            out.push(id);
+        }
+    }
+    let mut out = Vec::new();
+    for t in rule
+        .head
+        .args
+        .iter()
+        .chain(rule.body_lits().flat_map(|l| &l.args))
+    {
+        walk(t, world, &mut out);
+    }
+    out
+}
+
+impl<S: Sink> Closure<S> {
+    /// Registers every rule of `prog`, seeds the active domain with
+    /// their constants and runs the closure to its fixpoint.
+    pub(crate) fn ground(
+        world: &mut World,
+        prog: &OrderedProgram,
+        cfg: &GroundConfig,
+        sink: S,
+    ) -> Result<Self, GroundError> {
+        let mut c = Closure {
+            rules: Vec::new(),
+            plans: Vec::new(),
+            d_set: FxHashSet::default(),
+            index: DIndex::default(),
+            adom: Vec::new(),
+            adom_set: FxHashSet::default(),
+            queue: VecDeque::new(),
+            drivers: FxHashMap::default(),
+            adom_dependent: Vec::new(),
+            pool: SpendPool::new(cfg.max_instances, cfg.budget.clone()),
+            max_depth: cfg.max_depth,
+            threads: cfg.threads.max(1),
+            planner: cfg.plan,
+            sink,
+        };
+        for (comp, rule) in prog.rules() {
+            c.register(world, comp, rule);
+        }
+        for r in 0..c.rules.len() {
+            c.admit_consts(world, r);
+        }
+        c.run(world)?;
+        Ok(c)
+    }
+
+    /// Compiles `rule` into component `comp` and registers it with the
+    /// join drivers; returns its index. Does not ground it.
+    pub(crate) fn register(&mut self, world: &mut World, comp: CompId, rule: &Rule) -> usize {
+        let ix = self.rules.len();
+        let vars = rule.vars();
+        let lits: Vec<Literal> = rule.body_lits().cloned().collect();
+        let cmps: Vec<olp_core::Cmp> = rule.body_cmps().cloned().collect();
+        let mut body_vars = Vec::new();
+        for l in &lits {
+            l.collect_vars(&mut body_vars);
+        }
+        let residual: Vec<Sym> = vars
+            .iter()
+            .copied()
+            .filter(|v| !body_vars.contains(v))
+            .collect();
+        for (pos, l) in lits.iter().enumerate() {
+            self.drivers
+                .entry((l.pred, l.sign))
+                .or_default()
+                .push((ix, pos));
+        }
+        if lits.is_empty() || !residual.is_empty() {
+            self.adom_dependent.push(ix);
+        }
+        // Counting-domain seed: a ground fact bumps the join planner's
+        // statistics prior for its (pred, sign) — a prior for
+        // predicates it has not measured yet (see `DIndex::seed`).
+        if rule.head.is_ground() && lits.is_empty() && cmps.is_empty() {
+            self.index.seed(rule.head.pred, rule.head.sign, 1);
+        }
+        self.plans.push(compile_body(world, &lits));
+        self.rules.push(CRule {
+            comp,
+            head: rule.head.clone(),
+            cmps,
+            vars,
+            residual,
+            consts: rule_consts(world, rule),
+        });
+        ix
+    }
+
+    /// Admits rule `r`'s constants to the active domain.
+    pub(crate) fn admit_consts(&mut self, world: &World, r: usize) {
+        for i in 0..self.rules[r].consts.len() {
+            self.adom_add_term(world, self.rules[r].consts[i]);
+        }
+    }
+
+    fn adom_add_term(&mut self, world: &World, t: GTermId) {
         if self.adom_set.insert(t) {
             self.adom.push(t);
-            if let GTerm::Func(_, args) = self.world.terms.get(t).clone() {
-                for a in &args {
-                    self.adom_add_term(*a);
+            if let GTerm::Func(_, args) = world.terms.get(t) {
+                for &a in args {
+                    self.adom_add_term(world, a);
                 }
             }
         }
     }
 
-    fn d_add(&mut self, l: GLit) {
+    pub(crate) fn d_add(&mut self, world: &World, l: GLit) {
         if self.d_set.insert(l) {
-            self.index.add(self.world, l);
-            let args = self.world.atoms.get(l.atom()).args.clone();
-            for &t in &args {
-                self.adom_add_term(t);
+            self.index.add(world, l);
+            for &t in &world.atoms.get(l.atom()).args {
+                self.adom_add_term(world, t);
             }
             self.queue.push_back(l);
         }
     }
 
-    fn intern_lit(&mut self, lit: &Literal, b: &Bindings) -> GLit {
+    fn intern_lit(world: &mut World, lit: &Literal, b: &Bindings) -> GLit {
         let mut args = Vec::with_capacity(lit.args.len());
         for t in &lit.args {
             args.push(
-                t.intern(&mut self.world.terms, b)
+                t.intern(&mut world.terms, b)
                     .expect("variables bound at emission"),
             );
         }
-        GLit::new(lit.sign, self.world.atoms.intern(lit.pred, &args))
+        GLit::new(lit.sign, world.atoms.intern(lit.pred, &args))
     }
 
     /// Commits one phase-A match: enumerates residual variables over
-    /// the active domain and emits each completed instance.
-    fn commit(&mut self, rec: Rec) -> Result<(), GroundError> {
+    /// the active domain (as it stands now: terms the emissions admit
+    /// are picked up by the next domain re-run) and emits each
+    /// completed instance.
+    fn commit(&mut self, world: &mut World, rec: Rec) -> Result<(), GroundError> {
         let Rec { rule, mut b, body } = rec;
         let residual: Vec<Sym> = self.rules[rule]
             .residual
@@ -165,26 +322,26 @@ impl Smart<'_> {
             .filter(|v| !b.contains_key(v))
             .collect();
         if residual.is_empty() {
-            return self.emit(rule, &b, &body);
+            return self.emit(world, rule, &b, body);
         }
-        let adom = self.adom.clone();
-        if adom.is_empty() {
+        let n = self.adom.len();
+        if n == 0 {
             return Ok(());
         }
         let k = residual.len();
         let mut idx = vec![0usize; k];
         loop {
             for (v, &i) in residual.iter().zip(idx.iter()) {
-                b.insert(*v, adom[i]);
+                b.insert(*v, self.adom[i]);
             }
-            self.emit(rule, &b, &body)?;
+            self.emit(world, rule, &b, body.clone())?;
             let mut p = 0;
             loop {
                 if p == k {
                     return Ok(());
                 }
                 idx[p] += 1;
-                if idx[p] < adom.len() {
+                if idx[p] < n {
                     break;
                 }
                 idx[p] = 0;
@@ -196,88 +353,114 @@ impl Smart<'_> {
     /// Emits one instance: the body ground literals are the candidates
     /// the join matched (pattern interned under `b` = matched atom), so
     /// only the head needs interning here.
-    fn emit(&mut self, rule_ix: usize, b: &Bindings, body: &[GLit]) -> Result<(), GroundError> {
+    fn emit(
+        &mut self,
+        world: &mut World,
+        rule_ix: usize,
+        b: &Bindings,
+        body: Vec<GLit>,
+    ) -> Result<(), GroundError> {
         self.pool.spend(1)?;
-        if b.values()
-            .any(|&t| self.world.terms.depth(t) > self.max_depth)
-        {
+        if b.values().any(|&t| world.terms.depth(t) > self.max_depth) {
             return Ok(());
         }
-        for cmp in &self.rules[rule_ix].cmps {
-            match cmp.eval(&self.world.terms, b) {
+        let rule = &self.rules[rule_ix];
+        for cmp in &rule.cmps {
+            match cmp.eval(&world.terms, b) {
                 Ok(true) => {}
                 Ok(false) | Err(_) => return Ok(()),
             }
         }
-        let head_lit = self.rules[rule_ix].head.clone();
-        let head = self.intern_lit(&head_lit, b);
-        let comp = self.rules[rule_ix].comp;
-        self.d_add(head);
-        self.out.push(GroundRule::new(head, body.to_vec(), comp));
+        let head = Self::intern_lit(world, &rule.head, b);
+        let gr = GroundRule::new(head, body, rule.comp);
+        self.sink.record(rule_ix, gr, &rule.residual, b);
+        self.d_add(world, head);
+        Ok(())
+    }
+
+    /// One batch: phase-A join (parallel) + phase-B commit (in order).
+    pub(crate) fn run_batch(
+        &mut self,
+        world: &mut World,
+        items: &[Item],
+    ) -> Result<(), GroundError> {
+        let recs = frontier_join(
+            world,
+            &self.plans,
+            &self.index,
+            items,
+            self.threads,
+            self.planner,
+            &self.pool,
+        )?;
+        for per_item in recs {
+            for rec in per_item {
+                self.commit(world, rec)?;
+            }
+        }
         Ok(())
     }
 
     /// Phase 1: derivability closure + firing instances, as a
     /// batch-synchronous loop — collect the frontier, join it in
     /// parallel against the frozen index (phase A), commit in item
-    /// order (phase B).
-    fn closure(&mut self) -> Result<(), GroundError> {
+    /// order (phase B). Re-runs the active-domain-dependent rules
+    /// whenever the domain grows (facts — which also seed the closure
+    /// — and rules with residual variables).
+    pub(crate) fn run(&mut self, world: &mut World) -> Result<(), GroundError> {
         let mut last_adom = usize::MAX;
         let mut items: Vec<Item> = Vec::new();
         loop {
             items.clear();
             if self.adom.len() != last_adom {
-                // (Re-)run active-domain-dependent rules (facts — which
-                // also seed the closure — and rules with residual
-                // variables) whenever the domain has grown.
                 last_adom = self.adom.len();
-                items.extend(self.adom_dependent.iter().map(|&r| Item::Seed { rule: r }));
+                items.extend(
+                    self.adom_dependent
+                        .iter()
+                        .filter(|&&r| self.sink.live(r))
+                        .map(|&r| Item::Seed { rule: r }),
+                );
             } else if !self.queue.is_empty() {
                 while let Some(l) = self.queue.pop_front() {
-                    let pred = self.world.atoms.get(l.atom()).pred;
+                    let pred = world.atoms.get(l.atom()).pred;
                     if let Some(driven) = self.drivers.get(&(pred, l.sign())) {
-                        items.extend(driven.iter().map(|&(rule, pos)| Item::Drive {
-                            lit: l,
-                            rule,
-                            pos,
-                        }));
+                        items.extend(
+                            driven
+                                .iter()
+                                .filter(|&&(rule, _)| self.sink.live(rule))
+                                .map(|&(rule, pos)| Item::Drive { lit: l, rule, pos }),
+                        );
                     }
                 }
             } else {
                 return Ok(());
             }
-            if items.is_empty() {
-                continue; // domain grew but nothing depends on it
-            }
-            let recs = frontier_join(
-                self.world,
-                &self.plans,
-                &self.index,
-                &items,
-                self.threads,
-                self.planner,
-                &self.pool,
-            )?;
-            for per_item in recs {
-                for rec in per_item {
-                    self.commit(rec)?;
-                }
+            if !items.is_empty() {
+                self.run_batch(world, &items)?;
             }
         }
     }
 
-    /// Phase 2: attacker instances (real + eternal representatives).
-    /// Sequential (it interns new atoms); the domain enumeration runs
-    /// over a sorted copy so the result depends only on the derivable
-    /// *set* (see the module docs).
-    fn attackers(&mut self) -> Result<(), GroundError> {
+    /// Phase 2: attacker instances (real + eternal representatives),
+    /// appended to `out`. Sequential (it interns new atoms); the domain
+    /// enumeration runs over a sorted copy so the result depends only
+    /// on the derivable *set* (see the module docs).
+    pub(crate) fn attackers(
+        &mut self,
+        world: &mut World,
+        out: &mut Vec<GroundRule>,
+    ) -> Result<(), GroundError> {
         let mut sentinel: Option<GLit> = None;
         let mut eternal_seen: FxHashSet<(GLit, CompId)> = FxHashSet::default();
         let mut adom = self.adom.clone();
         adom.sort_unstable();
 
         for rule_ix in 0..self.rules.len() {
-            let head = self.rules[rule_ix].head.clone();
+            if !self.sink.live(rule_ix) {
+                continue;
+            }
+            let rule = &self.rules[rule_ix];
+            let head = &rule.head;
             // Victims are derivable literals whose complement this head
             // can become: same predicate, opposite sign. Fast path for
             // ground heads (facts, ground rules): the only possible
@@ -285,15 +468,7 @@ impl Smart<'_> {
             // complement and rejecting all but one match would make
             // fact-heavy programs quadratic.
             let victims: Vec<AtomId> = if head.is_ground() {
-                let empty = Bindings::default();
-                let mut args = Vec::with_capacity(head.args.len());
-                for t in &head.args {
-                    args.push(
-                        t.intern(&mut self.world.terms, &empty)
-                            .expect("ground head interning cannot fail"),
-                    );
-                }
-                let atom = self.world.atoms.intern(head.pred, &args);
+                let atom = Self::intern_lit(world, head, &Bindings::default()).atom();
                 if self.d_set.contains(&GLit::new(head.sign.flip(), atom)) {
                     vec![atom]
                 } else {
@@ -304,12 +479,12 @@ impl Smart<'_> {
             };
             'victims: for victim in victims {
                 let mut b = Bindings::default();
-                if !match_lit(self.world, &head, victim, &mut b) {
+                if !match_lit(world, head, victim, &mut b) {
                     continue;
                 }
                 // Enumerate all remaining variables over the active
                 // domain; classify each instance.
-                let free: Vec<Sym> = self.rules[rule_ix]
+                let free: Vec<Sym> = rule
                     .vars
                     .iter()
                     .copied()
@@ -327,13 +502,11 @@ impl Smart<'_> {
                     self.pool.spend(1)?;
                     // Comparisons must hold (and bindings must respect
                     // the depth bound) for the instance to exist.
-                    let cmps_ok = self.rules[rule_ix]
+                    let cmps_ok = rule
                         .cmps
                         .iter()
-                        .all(|c| matches!(c.eval(&self.world.terms, &b), Ok(true)))
-                        && !b
-                            .values()
-                            .any(|&t| self.world.terms.depth(t) > self.max_depth);
+                        .all(|c| matches!(c.eval(&world.terms, &b), Ok(true)))
+                        && !b.values().any(|&t| world.terms.depth(t) > self.max_depth);
                     if cmps_ok {
                         // Classify. The instance can ever be *blocked*
                         // iff some body literal's complement is
@@ -344,16 +517,11 @@ impl Smart<'_> {
                         // single sentinel-bodied representative
                         // suffices (its potential firings were already
                         // emitted by phase 1).
-                        let body_lits: Vec<Literal> = self.plans[rule_ix]
-                            .lits
-                            .iter()
-                            .map(|jl| jl.lit.clone())
-                            .collect();
-                        let mut body = Vec::with_capacity(body_lits.len());
+                        let mut body = Vec::with_capacity(self.plans[rule_ix].lits.len());
                         let mut blockable = false;
                         let mut body_derivable = true;
-                        for l in &body_lits {
-                            let gl = self.intern_lit(l, &b);
+                        for jl in &self.plans[rule_ix].lits {
+                            let gl = Self::intern_lit(world, &jl.lit, &b);
                             if self.d_set.contains(&gl.complement()) {
                                 blockable = true;
                             }
@@ -367,9 +535,8 @@ impl Smart<'_> {
                         // the victim literal: same atom, the rule head's
                         // sign.
                         let head_glit = GLit::new(head.sign, victim);
-                        let comp = self.rules[rule_ix].comp;
                         if blockable {
-                            self.out.push(GroundRule::new(head_glit, body, comp));
+                            out.push(GroundRule::new(head_glit, body, rule.comp));
                         } else if body_derivable {
                             // Unblockable *and* fully derivable: the
                             // phase-1 firing instance is already present
@@ -379,11 +546,11 @@ impl Smart<'_> {
                             // this victim.
                             continue 'victims;
                         } else {
-                            if eternal_seen.insert((head_glit, comp)) {
+                            if eternal_seen.insert((head_glit, rule.comp)) {
                                 let s = *sentinel.get_or_insert_with(|| {
-                                    GLit::pos(self.world.ground_atom("#undef", &[]))
+                                    GLit::pos(world.ground_atom("#undef", &[]))
                                 });
-                                self.out.push(GroundRule::new(head_glit, vec![s], comp));
+                                out.push(GroundRule::new(head_glit, vec![s], rule.comp));
                             }
                             // An eternal attacker dominates every other
                             // instance of this rule against this victim.
@@ -391,14 +558,8 @@ impl Smart<'_> {
                         }
                     }
                     // Advance the counter.
-                    if k == 0 {
-                        break;
-                    }
                     let mut p = 0;
-                    loop {
-                        if p == k {
-                            break;
-                        }
+                    while p < k {
                         idx[p] += 1;
                         if idx[p] < adom.len() {
                             break;
@@ -425,111 +586,11 @@ pub fn ground_smart(
     prog: &OrderedProgram,
     cfg: &GroundConfig,
 ) -> Result<GroundProgram, GroundError> {
-    ground_smart_seeded(world, prog, cfg, &[])
-}
-
-/// [`ground_smart`] with extra ground terms seeded into the active
-/// domain. Needed when `prog` is a *fragment* of a larger program (see
-/// [`crate::demand`]): attacker instances quantify over the Herbrand
-/// universe, so constants that only occur in dropped rules still
-/// enlarge the space of never-blockable attackers and must be retained
-/// for the semantics of the fragment to match the whole.
-pub fn ground_smart_seeded(
-    world: &mut World,
-    prog: &OrderedProgram,
-    cfg: &GroundConfig,
-    domain_seed: &[GTermId],
-) -> Result<GroundProgram, GroundError> {
     let order = prog.order()?;
-    let sig = signature(world, prog);
-    let mut rules = Vec::new();
-    let mut plans = Vec::new();
-    for (comp, rule) in prog.rules() {
-        let vars = rule.vars();
-        let lits: Vec<Literal> = rule.body_lits().cloned().collect();
-        let cmps: Vec<olp_core::Cmp> = rule.body_cmps().cloned().collect();
-        let mut body_vars = Vec::new();
-        for l in &lits {
-            l.collect_vars(&mut body_vars);
-        }
-        let residual: Vec<Sym> = vars
-            .iter()
-            .copied()
-            .filter(|v| !body_vars.contains(v))
-            .collect();
-        plans.push(compile_body(world, &lits));
-        rules.push(CRule {
-            comp,
-            head: rule.head.clone(),
-            cmps,
-            vars,
-            residual,
-        });
-    }
-
-    let mut drivers: FxHashMap<(PredId, Sign), Vec<(usize, usize)>> = FxHashMap::default();
-    let mut adom_dependent = Vec::new();
-    for (ix, (r, plan)) in rules.iter().zip(plans.iter()).enumerate() {
-        for (pos, jl) in plan.lits.iter().enumerate() {
-            drivers
-                .entry((jl.lit.pred, jl.lit.sign))
-                .or_default()
-                .push((ix, pos));
-        }
-        if plan.lits.is_empty() || !r.residual.is_empty() {
-            adom_dependent.push(ix);
-        }
-    }
-
-    let mut s = Smart {
-        world,
-        rules,
-        plans,
-        d_set: FxHashSet::default(),
-        index: DIndex::default(),
-        adom: Vec::new(),
-        adom_set: FxHashSet::default(),
-        queue: VecDeque::new(),
-        drivers,
-        adom_dependent,
-        out: Vec::new(),
-        pool: SpendPool::new(cfg.max_instances, cfg.budget.clone()),
-        max_depth: cfg.max_depth,
-        threads: cfg.threads.max(1),
-        planner: cfg.plan,
-    };
-    // Counting-domain seeds: distinct ground-fact heads per
-    // (pred, sign), counted over the program text and handed to the
-    // join planner as statistics priors for predicates it has not
-    // measured yet (see `DIndex::seed`). Counted structurally so no
-    // atoms are interned before grounding proper begins.
-    let mut fact_heads: FxHashSet<(PredId, Sign, Vec<Term>)> = FxHashSet::default();
-    for (_, rule) in prog.rules() {
-        if rule.head.is_ground()
-            && rule.body_lits().next().is_none()
-            && rule.body_cmps().next().is_none()
-        {
-            fact_heads.insert((rule.head.pred, rule.head.sign, rule.head.args.clone()));
-        }
-    }
-    let mut fact_counts: FxHashMap<(PredId, Sign), u64> = FxHashMap::default();
-    for (pred, sign, _) in &fact_heads {
-        *fact_counts.entry((*pred, *sign)).or_insert(0) += 1;
-    }
-    for ((pred, sign), n) in fact_counts {
-        s.index.seed(pred, sign, n);
-    }
-    for &c in &sig.constants {
-        s.adom_add_term(c);
-    }
-    for &c in domain_seed {
-        s.adom_add_term(c);
-    }
-    s.closure()?;
-    s.attackers()?;
-    let n_atoms = s.world.atoms.len();
-    let out = s.out;
-    Ok(GroundProgram::new(out, order, n_atoms))
+    let mut c = Closure::ground(world, prog, cfg, Vec::new())?;
+    let mut out = std::mem::take(&mut c.sink);
+    c.attackers(world, &mut out)?;
+    Ok(GroundProgram::new(out, order, world.atoms.len()))
 }
 
 #[cfg(test)]

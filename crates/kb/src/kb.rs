@@ -340,17 +340,12 @@ impl KbBuilder {
         strategy: GroundStrategy,
         cfg: &GroundConfig,
     ) -> Result<Kb, KbError> {
-        let (ground, delta, delta_ids) = match strategy {
-            GroundStrategy::Smart => {
-                let (delta, gp) = DeltaGrounder::new(&mut self.world, &self.prog, cfg)?;
-                let ids = sequential_ids(&self.prog);
-                (gp, Some(delta), ids)
-            }
-            GroundStrategy::Exhaustive => (
-                ground_exhaustive(&mut self.world, &self.prog, cfg)?,
-                None,
-                Vec::new(),
-            ),
+        // A load pays for the batch closure only: the incremental
+        // grounder's state is built by the first assert or retract
+        // (`Kb::ensure_delta`), as for a recovered KB.
+        let ground = match strategy {
+            GroundStrategy::Smart => ground_smart(&mut self.world, &self.prog, cfg)?,
+            GroundStrategy::Exhaustive => ground_exhaustive(&mut self.world, &self.prog, cfg)?,
         };
         let n_comps = self.prog.components.len();
         Ok(Kb {
@@ -363,8 +358,8 @@ impl KbBuilder {
             stable_results: FxHashMap::default(),
             strategy,
             cfg: cfg.clone(),
-            delta,
-            delta_ids,
+            delta: None,
+            delta_ids: Vec::new(),
             incremental: strategy == GroundStrategy::Smart,
             epoch: 0,
             touched_log: Vec::new(),
@@ -399,7 +394,7 @@ fn findings_introduced(after: Vec<Diagnostic>, before: &[Diagnostic]) -> Vec<Dia
         .collect()
 }
 
-/// The delta-grounder ids of a freshly grounded program: registration
+/// The delta-grounder ids of a freshly built grounder: registration
 /// follows `prog.rules()` order, so ids are sequential per component.
 fn sequential_ids(prog: &olp_core::OrderedProgram) -> Vec<Vec<DeltaRuleId>> {
     let mut ids: Vec<Vec<DeltaRuleId>> = vec![Vec::new(); prog.components.len()];
@@ -447,7 +442,8 @@ struct CachedModel {
 ///
 /// Mutations ([`Kb::assert_rule`] / [`Kb::retract_rule`]) are
 /// **incremental** by default under [`GroundStrategy::Smart`]: a
-/// [`DeltaGrounder`] re-grounds only the affected instantiations, model
+/// [`DeltaGrounder`] (built by the first mutation, or by
+/// [`Kb::warm_incremental`]) re-grounds only the affected instantiations, model
 /// caches are kept and revalidated per stratum instead of being thrown
 /// away, and stable-model results for untouched independent rule groups
 /// are reused from a per-object memo. [`Kb::set_incremental`] toggles
@@ -485,8 +481,9 @@ pub struct Kb {
     strategy: GroundStrategy,
     cfg: GroundConfig,
     /// Persistent incremental grounder (Smart strategy only). `None`
-    /// after a full refresh or an incremental failure; rebuilt lazily by
-    /// the next incremental mutation.
+    /// after a load or recovery, a full refresh or an incremental
+    /// failure; built by the next incremental mutation (or
+    /// [`Kb::warm_incremental`]).
     delta: Option<DeltaGrounder>,
     /// `delta_ids[c][i]` is the grounder id of `prog.components[c].rules[i]`
     /// (kept aligned with `prog`; empty while `delta` is `None`).
@@ -1018,22 +1015,41 @@ impl Kb {
         self.ground = Arc::new(new_ground);
     }
 
-    /// Rebuilds the delta grounder from the current program if it was
-    /// dropped (full refresh, incremental failure, or a KB built before
-    /// `set_incremental(true)`).
-    fn ensure_delta(&mut self) -> Result<(), KbError> {
-        if self.delta.is_some() {
-            return Ok(());
+    /// Builds the delta grounder from the current program if there is
+    /// none (a fresh load or recovery, a full refresh, an incremental
+    /// failure, or `set_incremental(true)`): one run of the grounding
+    /// closure, under the request's governor `gov`. Interrupted, it
+    /// leaves the KB as it was. Then checks `gov` once more, so a write
+    /// whose budget the build used up stops *before* its delta step and
+    /// keeps the grounder: a retry pays only the delta.
+    fn ensure_delta(&mut self, gov: &Budget) -> Result<Eval<()>, KbError> {
+        let interrupted = |reason| {
+            Ok(Eval::Interrupted(Interrupted {
+                reason,
+                partial: (),
+            }))
+        };
+        if self.delta.is_none() {
+            let cfg = GroundConfig {
+                budget: gov.clone(),
+                ..self.cfg.clone()
+            };
+            match DeltaGrounder::new(Arc::make_mut(&mut self.world), &self.prog, &cfg) {
+                Ok((delta, gp)) => {
+                    // Same program, same deterministic grounding as the
+                    // one installed: no epoch bump, caches stay valid.
+                    debug_assert_eq!(gp.rules, self.ground.rules);
+                    self.delta_ids = sequential_ids(&self.prog);
+                    self.delta = Some(delta);
+                }
+                Err(GroundError::Interrupted(reason)) => return interrupted(reason),
+                Err(e) => return Err(e.into()),
+            }
         }
-        let (delta, gp) =
-            DeltaGrounder::new(Arc::make_mut(&mut self.world), &self.prog, &self.cfg)?;
-        self.delta_ids = sequential_ids(&self.prog);
-        self.delta = Some(delta);
-        // Same program, same deterministic output as the ground program
-        // already installed — no epoch bump, and cached flat arenas
-        // stay valid (identical rule ordering).
-        self.ground = Arc::new(gp);
-        Ok(())
+        match gov.check() {
+            Ok(()) => Ok(Eval::Complete(())),
+            Err(reason) => interrupted(reason),
+        }
     }
 
     /// Full re-ground under `gov` (the non-incremental mutation path).
@@ -1085,8 +1101,11 @@ impl Kb {
     ///
     /// On `Interrupted` the mutation is **not applied**: the KB still
     /// answers queries exactly as before the call. An incremental
-    /// attempt that trips also drops the delta grounder; the next
-    /// mutation rebuilds it from the unchanged program.
+    /// attempt that trips in its delta step also drops the delta
+    /// grounder; the next mutation rebuilds it from the unchanged
+    /// program. One that trips building the grounder (the first write
+    /// after a load) keeps nothing; one that trips right after keeps
+    /// the grounder built.
     pub fn assert_rule_with(
         &mut self,
         object: &str,
@@ -1113,7 +1132,9 @@ impl Kb {
         }
         let gov = opts.budget();
         if self.is_incremental() {
-            self.ensure_delta()?;
+            if let Eval::Interrupted(i) = self.ensure_delta(&gov)? {
+                return Ok(Eval::Interrupted(i));
+            }
             let mut delta = self.delta.take().expect("ensure_delta installed one");
             match delta.assert_rule(Arc::make_mut(&mut self.world), c, &r, &gov) {
                 Ok((id, gp)) => {
@@ -1195,7 +1216,12 @@ impl Kb {
         }
         let gov = opts.budget();
         if self.is_incremental() {
-            self.ensure_delta()?;
+            if let Eval::Interrupted(i) = self.ensure_delta(&gov)? {
+                return Ok(Eval::Interrupted(Interrupted {
+                    reason: i.reason,
+                    partial: false,
+                }));
+            }
             let mut delta = self.delta.take().expect("ensure_delta installed one");
             let id = self.delta_ids[c.index()][i];
             match delta.retract_rule(Arc::make_mut(&mut self.world), id, &gov) {
@@ -1551,6 +1577,19 @@ impl Kb {
         for ci in 0..self.prog.components.len() {
             self.profile_of(CompId(ci as u32));
         }
+    }
+
+    /// Builds the incremental grounder's state now (one run of the
+    /// grounding closure, unbudgeted), so that the first assert or
+    /// retract pays only its delta. `olp serve` calls this before it
+    /// binds. A no-op when the state exists or mutations are not
+    /// incremental.
+    pub fn warm_incremental(&mut self) -> Result<(), KbError> {
+        if self.is_incremental() {
+            self.ensure_delta(&Budget::unlimited())?
+                .expect_complete("unlimited grounding cannot be interrupted");
+        }
+        Ok(())
     }
 
     /// Brings every *previously cached* least model up to the current

@@ -725,6 +725,13 @@ fn load_repl_kb(path: &str, exhaustive: bool, limits: &Limits) -> Result<Kb, Cli
         .map_err(|e| CliFail::Msg(e.to_string()))
 }
 
+/// Builds the incremental grounder's state before the first command, so
+/// that no write pays a full grounding (see [`Kb::warm_incremental`]).
+fn warm_incremental(kb: &mut Kb) -> Result<(), CliFail> {
+    kb.warm_incremental()
+        .map_err(|e| CliFail::Msg(format!("cannot prepare incremental grounding: {e}")))
+}
+
 fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult {
     use std::io::{BufRead, Write};
     let mut session = match (&limits.db, path) {
@@ -752,6 +759,7 @@ fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult 
         (None, None) => return Err(CliFail::Msg("repl: FILE or --db DIR required".to_string())),
     };
     session.kb().set_threads(limits.threads);
+    warm_incremental(session.kb())?;
     let origin = path
         .map(str::to_string)
         .or_else(|| limits.db.clone())
@@ -875,6 +883,12 @@ fn cmd_repl(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult 
                     Ok((mut d, report)) => {
                         println!("{}", recovery_line(rest, &d, &report));
                         d.kb_mut().set_threads(limits.threads);
+                        if let Err(CliFail::Msg(e) | CliFail::Exhausted(e)) =
+                            warm_incremental(d.kb_mut())
+                        {
+                            println!("error: {e}");
+                            continue;
+                        }
                         current = match d.kb_mut().objects().first() {
                             Some(first) => first.to_string(),
                             None => {
@@ -943,13 +957,15 @@ fn cmd_serve(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult
                 println!("note: database {db} already exists; {p} not re-read");
             }
             d.kb_mut().set_threads(limits.threads);
+            warm_incremental(d.kb_mut())?;
             ServeKb::Durable(Box::new(d))
         }
         (Some(db), Some(p)) => {
             let kb = load_repl_kb(p, exhaustive, limits)?;
-            let d = DurableKb::create(std::path::Path::new(db), kb, limits.durability)
+            let mut d = DurableKb::create(std::path::Path::new(db), kb, limits.durability)
                 .map_err(|e| CliFail::Msg(format!("cannot create database {db}: {e}")))?;
             println!("created database {db} from {p}");
+            warm_incremental(d.kb_mut())?;
             ServeKb::Durable(Box::new(d))
         }
         (Some(db), None) => {
@@ -960,6 +976,7 @@ fn cmd_serve(path: Option<&str>, exhaustive: bool, limits: &Limits) -> CmdResult
         (None, Some(p)) => {
             let mut kb = load_repl_kb(p, exhaustive, limits)?;
             kb.set_threads(limits.threads);
+            warm_incremental(&mut kb)?;
             ServeKb::Plain(Box::new(kb))
         }
         (None, None) => return Err(CliFail::Msg("serve: FILE or --db DIR required".to_string())),

@@ -573,3 +573,125 @@ fn least_model_first_model_cap_keeps_one_genuine_model() {
         }
     }
 }
+
+/// The random ancestor program of the cold-load benchmark (N=220,
+/// E=660): its full grounding takes far longer than 20 ms.
+fn ancestor_parts() -> (World, ordered_logic::core::OrderedProgram) {
+    let mut w = World::new();
+    let prog = olp_workload::ancestor(
+        &mut w,
+        olp_workload::GraphShape::Random {
+            edges: 660,
+            seed: 42,
+        },
+        220,
+    );
+    (w, prog)
+}
+
+/// A budgeted first write on `kb` (no incremental grounder built yet)
+/// stops within its 20 ms deadline, every time, and changes nothing;
+/// an unlimited write afterwards applies and equals a full refresh.
+fn first_write_respects_its_budget(mut kb: ordered_logic::kb::Kb) {
+    const FACT: &str = "parent(n0, n219).";
+    let before = {
+        let m = kb.model("main").expect("known object").clone();
+        kb.render(&m)
+    };
+    let epoch = kb.epoch();
+    let deadline = std::time::Duration::from_millis(20);
+    for _ in 0..3 {
+        let start = std::time::Instant::now();
+        let ev = kb
+            .assert_rule_with("main", FACT, &QueryOptions::new().timeout(deadline))
+            .expect("no hard error");
+        let took = start.elapsed();
+        assert_eq!(ev.reason(), Some(InterruptReason::Deadline));
+        // Deadlines are probed, not checked per step: allow a bounded
+        // overshoot, far below the cost of a full grounding.
+        assert!(
+            took < deadline + std::time::Duration::from_millis(250),
+            "budgeted first write took {took:?}"
+        );
+        assert_eq!(kb.epoch(), epoch, "an interrupted write must not commit");
+        let m = kb.model("main").expect("still queryable").clone();
+        assert_eq!(kb.render(&m), before, "answers changed");
+    }
+    let mut full = {
+        let (w, prog) = ancestor_parts();
+        KbBuilder::from_parts(w, prog)
+            .build(GroundStrategy::Smart)
+            .expect("ancestor grounds")
+    };
+    full.set_incremental(false);
+    kb.assert_rule("main", FACT)
+        .expect("unlimited assert applies");
+    full.assert_rule("main", FACT)
+        .expect("full refresh applies");
+    let inc = kb.model("main").expect("known object").clone();
+    let reference = full.model("main").expect("known object").clone();
+    assert_eq!(kb.render(&inc), full.render(&reference));
+}
+
+#[test]
+fn budgeted_first_write_on_a_loaded_kb_stops_in_budget() {
+    let (w, prog) = ancestor_parts();
+    let kb = KbBuilder::from_parts(w, prog)
+        .build(GroundStrategy::Smart)
+        .expect("ancestor grounds");
+    first_write_respects_its_budget(kb);
+}
+
+#[test]
+fn budgeted_first_write_on_a_recovered_kb_stops_in_budget() {
+    let (mut w, prog) = ancestor_parts();
+    let ground = ordered_logic::ground::ground_smart(&mut w, &prog, &GroundConfig::default())
+        .expect("ancestor grounds");
+    first_write_respects_its_budget(ordered_logic::kb::Kb::from_ground_parts(w, prog, ground));
+}
+
+#[test]
+fn warm_incremental_spares_the_first_write_a_full_grounding() {
+    // Steps one full grounding of the program charges.
+    let small = || {
+        let mut w = World::new();
+        let prog = olp_workload::ancestor(
+            &mut w,
+            olp_workload::GraphShape::Random {
+                edges: 120,
+                seed: 3,
+            },
+            40,
+        );
+        (w, prog)
+    };
+    let (mut w, prog) = small();
+    let meter = Budget::with_steps(u64::MAX);
+    let cfg = GroundConfig {
+        budget: meter.clone(),
+        ..GroundConfig::default()
+    };
+    ordered_logic::ground::ground_smart(&mut w, &prog, &cfg).expect("grounds");
+    let reground = meter.steps_used();
+    let budget = QueryOptions::new().max_steps(reground / 2);
+    let build = || {
+        let (w, prog) = small();
+        KbBuilder::from_parts(w, prog)
+            .build(GroundStrategy::Smart)
+            .expect("grounds")
+    };
+    // Cold, the first write must ground the whole program and trips.
+    let mut cold = build();
+    let ev = cold
+        .assert_rule_with("main", "parent(n0, n39).", &budget)
+        .expect("no hard error");
+    assert_eq!(ev.reason(), Some(InterruptReason::Steps));
+    // Warmed, it pays only its delta.
+    let mut warm = build();
+    warm.warm_incremental().expect("grounds");
+    let ev = warm
+        .assert_rule_with("main", "parent(n0, n39).", &budget)
+        .expect("no hard error");
+    assert!(ev.is_complete(), "warmed first write interrupted: {ev:?}");
+    assert!(warm.ask("main", "parent(n0, n39)").expect("queryable"));
+}
